@@ -16,12 +16,12 @@ use siesta_core::{Siesta, SiestaConfig};
 use siesta_mpisim::{Rank, RankFut};
 use siesta_perfmodel::{CounterVec, Machine};
 use siesta_proxy::ComputeProxy;
-use siesta_trace::Trace;
+use siesta_trace::StreamedTrace;
 
 /// Generate a Pilgrim-style comm-only proxy from a trace.
-pub fn synthesize(trace: Trace, gen_machine: &Machine) -> ProxyProgram {
+pub fn synthesize(trace: StreamedTrace, gen_machine: &Machine) -> ProxyProgram {
     let siesta = Siesta::new(SiestaConfig::default());
-    let mut synthesis = siesta.synthesize(trace, gen_machine);
+    let mut synthesis = siesta.synthesize_streamed(trace, gen_machine);
     for t in synthesis.program.terminals.iter_mut() {
         if let TerminalOp::Compute { proxy, target } = t {
             *proxy = ComputeProxy::IDLE;
@@ -37,7 +37,7 @@ where
     F: Fn(Rank) -> RankFut<'env> + Send + Sync,
 {
     let siesta = Siesta::new(SiestaConfig::default());
-    let (trace, _) = siesta.trace_run(machine, nranks, body);
+    let (trace, _) = siesta.trace_run_streamed(machine, nranks, body);
     synthesize(trace, &machine)
 }
 
@@ -79,9 +79,9 @@ mod tests {
         let m = machine();
         let program = Program::Is;
         let siesta = Siesta::new(SiestaConfig::default());
-        let (trace, _) = siesta.trace_run(m, 8, program.body(ProblemSize::Tiny));
-        let (trace2, _) = siesta.trace_run(m, 8, program.body(ProblemSize::Tiny));
-        let full = siesta.synthesize(trace, &m).program;
+        let (trace, _) = siesta.trace_run_streamed(m, 8, program.body(ProblemSize::Tiny));
+        let (trace2, _) = siesta.trace_run_streamed(m, 8, program.body(ProblemSize::Tiny));
+        let full = siesta.synthesize_streamed(trace, &m).program;
         let comm_only = synthesize(trace2, &m);
         let comms = |p: &ProxyProgram| {
             p.terminals

@@ -131,8 +131,8 @@ fn main() {
     let siesta = Siesta::new(SiestaConfig::default());
     for program in [Program::Sweep3d, Program::Sp, Program::Mg, Program::Cg] {
         let n = scale.one_nprocs(program);
-        let (trace, _) = siesta.trace_run(m, n, move |r| program.body(size)(r));
-        let global = siesta_trace::merge_tables(trace);
+        let (trace, _) = siesta.trace_run_streamed(m, n, move |r| program.body(size)(r));
+        let global = siesta.merge_streamed(trace).to_global_trace();
         let events: usize = global.seqs.iter().map(|s| s.len()).sum();
         let rle: usize = global.seqs.iter().map(|s| Sequitur::build(s).size()).sum();
         let classic: usize =

@@ -10,7 +10,7 @@ use siesta_bench::{hr, machine_a, Scale};
 use siesta_core::{Siesta, SiestaConfig};
 use siesta_perfmodel::CounterVec;
 use siesta_proxy::{Minime, ProxySearcher};
-use siesta_trace::{merge_tables, EventRecord};
+use siesta_trace::EventRecord;
 use siesta_workloads::Program;
 
 fn main() {
@@ -31,8 +31,8 @@ fn main() {
     let mut totals = (0.0, 0.0, 0.0, 0.0);
     for program in Program::ALL {
         let nprocs = scale.one_nprocs(program);
-        let (trace, _) = siesta.trace_run(m, nprocs, move |r| program.body(size)(r));
-        let global = merge_tables(trace);
+        let (trace, _) = siesta.trace_run_streamed(m, nprocs, move |r| program.body(size)(r));
+        let global = siesta.merge_streamed(trace).to_global_trace();
         // Occurrence counts per terminal id (over all ranks).
         let mut occurrences = vec![0u64; global.table.len()];
         for seq in &global.seqs {

@@ -1,13 +1,12 @@
-//! Trace-ingest bench: events/s and peak memory, streaming vs materialized.
+//! Trace-ingest bench: events/s and peak memory of the streaming recorder.
 //!
 //! Drives the PMPI recorder directly — synthetic `HookCtx` + `MpiCall`
 //! records in the shape of a 2D halo exchange (two isend / two irecv /
 //! waitall / allreduce per iteration, one clustered compute interval each)
 //! — so the numbers isolate *ingest*: normalization, hash-consing, and the
-//! sequence sink, with no simulator in the loop. The streaming sink feeds
-//! each rank's online Sequitur through a bounded buffer; the materialized
-//! sink stores every id. At 65 536 ranks the flat id sequences are the
-//! dominant allocation, which is exactly what streaming exists to avoid.
+//! sequence sink, with no simulator in the loop. The sink feeds each
+//! rank's online Sequitur through a bounded buffer, so at 65 536 ranks the
+//! flat id sequences never become the dominant allocation.
 //!
 //! ```sh
 //! cargo bench -p siesta-bench --bench trace_ingest            # full
@@ -16,15 +15,8 @@
 //!
 //! Writes `BENCH_trace.json` (format v2) for `scripts/check_bench.py`:
 //!
-//! * an ingest-throughput floor on the streaming path (the production
-//!   default must not regress);
-//! * a peak-RSS ceiling on the streaming sweep;
-//! * a floor on materialized-RSS / streaming-RSS — the acceptance claim
-//!   that streaming holds less memory than materialization at 64k ranks.
-//!   Streaming runs **first**: `VmHWM` is a process-lifetime high-water
-//!   mark, so the ordering makes the ratio conservative (if materialized
-//!   never out-allocates streaming, the ratio reads 1.0 and the gate
-//!   fails — which is the regression it exists to catch).
+//! * an ingest-throughput floor (the production path must not regress);
+//! * a peak-RSS ceiling on the sweep.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -96,22 +88,14 @@ fn drive_rank(rec: &Recorder, me: usize, ranks: usize, iters: usize) {
 /// One full ingest run; returns wall seconds. The recorder (and with it
 /// every per-rank sequence, buffer, and grammar) stays live until after
 /// the finish call, so the RSS high-water mark covers the whole run.
-fn run_once(cfg: &Config, stream: bool) -> f64 {
+fn run_once(cfg: &Config) -> f64 {
     let config = TraceConfig { stream_buf: cfg.stream_buf, ..TraceConfig::default() };
-    let rec = Arc::new(if stream {
-        Recorder::new_streaming(cfg.ranks, config)
-    } else {
-        Recorder::new(cfg.ranks, config)
-    });
+    let rec = Arc::new(Recorder::new_streaming(cfg.ranks, config));
     let t0 = Instant::now();
     for me in 0..cfg.ranks {
         drive_rank(&rec, me, cfg.ranks, cfg.iters);
     }
-    let ingested = if stream {
-        rec.finish_streamed().total_events()
-    } else {
-        rec.finish().total_events()
-    };
+    let ingested = rec.finish_streamed().total_events();
     let dt = t0.elapsed().as_secs_f64();
     assert_eq!(ingested, cfg.total_events(), "ingest event count drifted");
     dt
@@ -124,11 +108,11 @@ struct ModeResult {
     peak_rss: u64,
 }
 
-fn run_mode(cfg: &Config, stream: bool) -> ModeResult {
+fn run_mode(cfg: &Config) -> ModeResult {
     let mut total = 0.0;
     let mut min = f64::INFINITY;
     for _ in 0..cfg.reps {
-        let dt = run_once(cfg, stream);
+        let dt = run_once(cfg);
         total += dt;
         min = min.min(dt);
     }
@@ -155,48 +139,30 @@ fn main() {
         "mode", "mean ms", "min ms", "events/s", "peak RSS"
     );
 
-    // Streaming first — see the module doc for why the order matters.
-    let mut points = String::new();
-    let mut report = |label: &str, r: &ModeResult| {
-        println!(
-            "{label:>13}  {:>10.1}  {:>10.1}  {:>13.0}  {:>8.1} MB",
-            r.mean_s * 1e3,
-            r.min_s * 1e3,
-            r.events_per_sec,
-            r.peak_rss as f64 / (1024.0 * 1024.0)
-        );
-        if !points.is_empty() {
-            points.push(',');
-        }
-        points.push_str(&format!(
-            "\n    {{\"phase\": \"{label}\", \"mean_ms\": {:.3}, \"min_ms\": {:.3}, \
-             \"events_per_sec\": {:.0}, \"peak_rss_bytes\": {}}}",
-            r.mean_s * 1e3,
-            r.min_s * 1e3,
-            r.events_per_sec,
-            r.peak_rss
-        ));
-    };
-    let streaming = run_mode(&cfg, true);
-    report("streaming", &streaming);
-    let materialized = run_mode(&cfg, false);
-    report("materialized", &materialized);
+    let streaming = run_mode(&cfg);
+    println!(
+        "{:>13}  {:>10.1}  {:>10.1}  {:>13.0}  {:>8.1} MB",
+        "streaming",
+        streaming.mean_s * 1e3,
+        streaming.min_s * 1e3,
+        streaming.events_per_sec,
+        streaming.peak_rss as f64 / (1024.0 * 1024.0)
+    );
+    let points = format!(
+        "\n    {{\"phase\": \"streaming\", \"mean_ms\": {:.3}, \"min_ms\": {:.3}, \
+         \"events_per_sec\": {:.0}, \"peak_rss_bytes\": {}}}",
+        streaming.mean_s * 1e3,
+        streaming.min_s * 1e3,
+        streaming.events_per_sec,
+        streaming.peak_rss
+    );
 
     const GB: f64 = 1024.0 * 1024.0 * 1024.0;
     let stream_gb = streaming.peak_rss as f64 / GB;
-    let mat_gb = materialized.peak_rss as f64 / GB;
-    let rss_ratio = if streaming.peak_rss > 0 {
-        materialized.peak_rss as f64 / streaming.peak_rss as f64
-    } else {
-        0.0
-    };
 
-    // Floors under the recorded values with regression margin; the RSS
-    // ratio floor is the acceptance claim itself (streaming must hold
-    // meaningfully less than materialization — a ratio collapsing toward
-    // 1.0 means the bounded buffer stopped bounding anything).
-    let (eps_budget, ratio_budget, rss_cap_gb) =
-        if cfg.quick { (1_500_000.0, 1.0, 0.25) } else { (1_500_000.0, 1.25, 0.8) };
+    // Budgets under/over the recorded values with regression margin.
+    let eps_budget = 1_500_000.0;
+    let rss_cap_gb = if cfg.quick { 0.25 } else { 0.8 };
 
     let path = if cfg.quick {
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_trace_quick.json")
@@ -210,12 +176,8 @@ fn main() {
          \"total_events\": {},\n  \
          \"events_per_sec_streaming\": {:.0},\n  \
          \"budget_min_events_per_sec_streaming\": {:.0},\n  \
-         \"events_per_sec_materialized\": {:.0},\n  \
          \"peak_rss_streaming_gb\": {:.4},\n  \
          \"budget_max_peak_rss_streaming_gb\": {:.2},\n  \
-         \"peak_rss_materialized_gb\": {:.4},\n  \
-         \"rss_ratio_materialized_vs_streaming\": {:.4},\n  \
-         \"budget_min_rss_ratio_materialized_vs_streaming\": {:.2},\n  \
          \"points\": [{points}\n  ]\n}}\n",
         if cfg.quick { "quick" } else { "full" },
         siesta_par::available_parallelism(),
@@ -226,12 +188,8 @@ fn main() {
         cfg.total_events(),
         streaming.events_per_sec,
         eps_budget,
-        materialized.events_per_sec,
         stream_gb,
         rss_cap_gb,
-        mat_gb,
-        rss_ratio,
-        ratio_budget,
     );
     match std::fs::write(path, &json) {
         Ok(()) => println!("trace-ingest results written to {path}"),

@@ -39,20 +39,17 @@ COMMANDS:
                  --out <file>        output .siesta path (default <prog>.siesta)
                  --emit-c <file>     also write the C source
                  --from-trace <f>    synthesize from a saved .siestatrace
-                                     instead of running the program
+                                     (SIESTC1 store) instead of running
+                                     the program
                  --no-memo           disable cross-rank grammar memoization
                                      (rebuild Sequitur per rank even for
                                      duplicate sequences; output unchanged)
-                 --no-stream         materialize full per-rank id sequences
-                                     instead of streaming them through the
-                                     online Sequitur (more memory; output
-                                     byte-identical — the differential oracle)
                  --stream-buf <n>    streaming ingest buffer, in event ids
                                      per rank (default 4096, env
                                      SIESTA_STREAM_BUF)
                  --trace-store <f>   also write the merged trace as a
-                                     zero-copy columnar store (streamed
-                                     rank by rank when streaming)
+                                     zero-copy columnar store (written
+                                     rank by rank)
                  --sim-profile / --sim-trace-out / --critical-path
                                      profile the traced run in virtual time
                                      (see simulate)
@@ -75,7 +72,7 @@ COMMANDS:
     trace        Trace a workload; print the merged event table or save it
                  as a zero-copy columnar store (.siestatrace)
                  --program <name> [--nprocs n] [--size s] [--platform p] [--flavor f]
-                 [--out <file.siestatrace>] [--no-stream] [--stream-buf <n>]
+                 [--out <file.siestatrace>] [--stream-buf <n>]
 
     simulate     Sweep the event-driven simulator over rank counts; report
                  virtual time, wall time, ranks/s, peak RSS, schedule hash
@@ -155,7 +152,7 @@ const GLOBAL_OPTS: &[&str] = &[
     "comm-matrix", "log-level", "obs-cap", "profile", "quiet", "stats", "threads", "trace-out",
 ];
 const GLOBAL_FLAGS: &[&str] =
-    &["quiet", "stats", "no-memo", "no-stream", "sim-profile", "critical-path"];
+    &["quiet", "stats", "no-memo", "sim-profile", "critical-path"];
 
 /// `check_allowed` including the global observability options.
 fn check_cmd_opts(args: &Args, cmd_opts: &[&str]) -> Result<(), String> {
@@ -373,23 +370,21 @@ fn parse_machine_with_default(args: &Args, default_platform: &'static str) -> Re
     Ok(Machine::new(platform, flavor))
 }
 
-/// Resolve the streaming-ingest options shared by `synthesize` and
-/// `trace`: `--no-stream` and `--stream-buf` (env `SIESTA_STREAM_BUF`),
-/// validated the same way as the other numeric flags.
-fn parse_stream_opts(args: &Args) -> Result<(bool, usize), String> {
-    let stream = !args.get_flag("no-stream");
+/// Resolve the stream-buffer option shared by `synthesize` and `trace`:
+/// `--stream-buf` (env `SIESTA_STREAM_BUF`), validated the same way as the
+/// other numeric flags.
+fn parse_stream_opts(args: &Args) -> Result<usize, String> {
     let explicit = match args.get("stream-buf") {
         Some(_) => Some(args.get_usize("stream-buf", 0)?),
         None => None,
     };
-    let stream_buf = siesta_trace::resolve_stream_buf(explicit)?;
-    Ok((stream, stream_buf))
+    siesta_trace::resolve_stream_buf(explicit)
 }
 
 fn cmd_synthesize(args: &Args) -> Result<(), String> {
     check_cmd_opts(args, &[
         "program", "nprocs", "size", "platform", "flavor", "scale", "threshold", "out", "emit-c",
-        "from-trace", "no-memo", "no-stream", "stream-buf", "trace-store", "sim-profile",
+        "from-trace", "no-memo", "stream-buf", "trace-store", "sim-profile",
         "sim-trace-out", "critical-path",
     ])?;
     // Offline path: synthesize from a saved merged trace.
@@ -443,7 +438,7 @@ fn cmd_synthesize(args: &Args) -> Result<(), String> {
         nprocs,
         machine.label()
     );
-    let (stream, stream_buf) = parse_stream_opts(args)?;
+    let stream_buf = parse_stream_opts(args)?;
     let trace_store = args.get("trace-store").map(str::to_string);
     if let Some(p) = &trace_store {
         check_writable_dest(p)?;
@@ -456,28 +451,16 @@ fn cmd_synthesize(args: &Args) -> Result<(), String> {
             ..TraceConfig::default()
         },
         grammar_memo: !args.get_flag("no-memo"),
-        stream,
         ..SiestaConfig::default()
     };
     let siesta = Siesta::new(config);
-    let body = move |r| program.body(size)(r);
-    let (synthesis, traced) = if stream {
-        let (st, traced) = siesta.trace_run_streamed(machine, nprocs, body);
-        let sg = siesta.merge_streamed(st);
-        if let Some(p) = &trace_store {
-            sg.write_store(Path::new(p)).map_err(|e| format!("{p}: {e}"))?;
-            siesta_obs::info!("columnar trace store written to {p}");
-        }
-        (siesta.synthesize_streamed_global(sg, &machine), traced)
-    } else {
-        let (trace, traced) = siesta.trace_run(machine, nprocs, body);
-        let global = siesta.merge_trace(trace);
-        if let Some(p) = &trace_store {
-            siesta_trace::save_trace(&global, Path::new(p)).map_err(|e| format!("{p}: {e}"))?;
-            siesta_obs::info!("columnar trace store written to {p}");
-        }
-        (siesta.synthesize_global(global, &machine), traced)
-    };
+    let (st, traced) = siesta.trace_run_streamed(machine, nprocs, move |r| program.body(size)(r));
+    let sg = siesta.merge_streamed(st);
+    if let Some(p) = &trace_store {
+        sg.write_store(Path::new(p)).map_err(|e| format!("{p}: {e}"))?;
+        siesta_obs::info!("columnar trace store written to {p}");
+    }
+    let synthesis = siesta.synthesize_streamed_global(sg, &machine);
     let s = &synthesis.stats;
     siesta_obs::info!("traced run: {}", human_ms(traced.elapsed_ns()));
     siesta_obs::info!(
@@ -627,7 +610,7 @@ fn cmd_inspect(args: &Args) -> Result<(), String> {
 
 fn cmd_trace(args: &Args) -> Result<(), String> {
     check_cmd_opts(args, &[
-        "program", "nprocs", "size", "platform", "flavor", "out", "no-stream", "stream-buf",
+        "program", "nprocs", "size", "platform", "flavor", "out", "stream-buf",
     ])?;
     let program = parse_program(args.require("program")?)?;
     let nprocs = args.get_usize("nprocs", 16)?;
@@ -636,51 +619,31 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
     }
     let size = parse_size(&args.get_or("size", "small"))?;
     let machine = parse_machine(args)?;
-    let (stream, stream_buf) = parse_stream_opts(args)?;
+    let stream_buf = parse_stream_opts(args)?;
     let out = args.get("out").map(str::to_string);
     if let Some(p) = &out {
         check_writable_dest(p)?;
     }
     let config = SiestaConfig {
         trace: TraceConfig { stream_buf, ..TraceConfig::default() },
-        stream,
         ..SiestaConfig::default()
     };
     let siesta = Siesta::new(config);
-    let body = move |r| program.body(size)(r);
-    if stream {
-        // Streaming ingest: sequences exist only as per-rank grammars; the
-        // store is written rank by rank. Bytes match the --no-stream path.
-        let (st, _) = siesta.trace_run_streamed(machine, nprocs, body);
-        let sg = siesta.merge_streamed(st);
-        match out {
-            Some(out) => {
-                sg.write_store(Path::new(&out)).map_err(|e| format!("{out}: {e}"))?;
-                siesta_obs::info!(
-                    "saved merged trace: {} terminals, {} ranks",
-                    sg.table.len(),
-                    sg.nranks
-                );
-                println!("{out}");
-            }
-            None => print!("{}", siesta_trace::text::render(&sg.to_global_trace())),
+    // Sequences exist only as per-rank grammars; the store is written rank
+    // by rank.
+    let (st, _) = siesta.trace_run_streamed(machine, nprocs, move |r| program.body(size)(r));
+    let sg = siesta.merge_streamed(st);
+    match out {
+        Some(out) => {
+            sg.write_store(Path::new(&out)).map_err(|e| format!("{out}: {e}"))?;
+            siesta_obs::info!(
+                "saved merged trace: {} terminals, {} ranks",
+                sg.table.len(),
+                sg.nranks
+            );
+            println!("{out}");
         }
-    } else {
-        let (trace, _) = siesta.trace_run(machine, nprocs, body);
-        let global = siesta.merge_trace(trace);
-        match out {
-            Some(out) => {
-                siesta_trace::save_trace(&global, Path::new(&out))
-                    .map_err(|e| format!("{out}: {e}"))?;
-                siesta_obs::info!(
-                    "saved merged trace: {} terminals, {} ranks",
-                    global.table.len(),
-                    global.nranks
-                );
-                println!("{out}");
-            }
-            None => print!("{}", siesta_trace::text::render(&global)),
-        }
+        None => print!("{}", siesta_trace::text::render(&sg.to_global_trace())),
     }
     Ok(())
 }

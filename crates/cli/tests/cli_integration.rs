@@ -211,6 +211,29 @@ fn offline_trace_to_synthesis_workflow() {
 }
 
 #[test]
+fn legacy_row_trace_is_rejected_naming_the_store_format() {
+    // The retired row codec's header (magic + version 1 + a few fields):
+    // `--from-trace` must refuse it cleanly and name the SIESTC1 store.
+    let legacy = tmp("legacy.siestatrace");
+    let mut bytes = b"SIESTR1\0".to_vec();
+    bytes.push(1);
+    bytes.extend_from_slice(&[0u8; 40]);
+    std::fs::write(&legacy, &bytes).unwrap();
+    let out = siesta(&[
+        "synthesize",
+        "--from-trace",
+        legacy.to_str().unwrap(),
+        "--out",
+        tmp("legacy.siesta").to_str().unwrap(),
+    ]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("SIESTC1"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+    std::fs::remove_file(&legacy).ok();
+}
+
+#[test]
 fn threads_flag_is_validated_and_output_invariant() {
     // --threads 0 is rejected up front.
     let out = siesta(&["list", "--threads", "0"]);

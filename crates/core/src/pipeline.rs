@@ -1,13 +1,16 @@
 //! The end-to-end Siesta pipeline (paper Figure 1).
 //!
 //! ```text
-//! MPI program ──trace──▶ per-rank event tables + id sequences
-//!              ──merge──▶ global terminal table (log₂P tree)
-//!            ──Sequitur─▶ per-rank run-length grammars
+//! MPI program ──trace──▶ per-rank event tables + online Sequitur grammars
+//!              ──merge──▶ global terminal table (log₂P tree), per-rank
+//!                         grammars lifted to global ids
 //!              ──merge──▶ job-wide grammar with rank-listed main rules
 //!       ──proxy search──▶ block combinations per computation event
 //!            ──codegen──▶ ProxyProgram (C source + replayable IR)
 //! ```
+//!
+//! The offline front end ([`Siesta::synthesize_global`]) starts from a
+//! loaded trace store instead and batch-builds the per-rank grammars.
 
 use std::sync::Arc;
 
@@ -18,8 +21,8 @@ use siesta_obs::{histogram, profiling_enabled, span};
 use siesta_perfmodel::Machine;
 use siesta_proxy::{shrink_counters, CommShrink, ProxySearcher, BLOCKS_C_SOURCE};
 use siesta_trace::{
-    merge_streamed, merge_tables, serialize, CommEvent, EventRecord, GlobalTrace, Recorder,
-    StreamedGlobal, StreamedTrace, Trace, TraceConfig,
+    merge_streamed, serialize, CommEvent, EventRecord, GlobalTrace, Recorder, StreamedGlobal,
+    StreamedTrace, TraceConfig, STREAM_BUF_MAX,
 };
 
 /// Configuration of one synthesis.
@@ -36,11 +39,10 @@ pub struct SiestaConfig {
     /// either way (Sequitur is a pure function of its input); off is only
     /// useful for benchmarking and differential testing.
     pub grammar_memo: bool,
-    /// Streaming ingest: interned event ids feed each rank's Sequitur as
-    /// calls complete, so the flat per-rank id sequences never materialize
-    /// — peak memory is bounded by the compressed grammars plus one stream
-    /// buffer per rank. Output is byte-identical to the materialized path
-    /// (which `--no-stream` keeps available as the differential oracle).
+    /// Bounded stream buffer: `true` (the default) buffers
+    /// `trace.stream_buf` ids per rank before they feed the rank's online
+    /// Sequitur; `false` buffers up to [`STREAM_BUF_MAX`]. Ingest always
+    /// streams, and the output is byte-identical either way.
     pub stream: bool,
 }
 
@@ -108,14 +110,26 @@ impl Siesta {
         Siesta { config }
     }
 
-    /// Trace an MPI program: runs it with the PMPI recorder installed.
-    /// Returns the trace and the (instrumented) run statistics.
-    pub fn trace_run<'env, F>(&self, machine: Machine, nranks: usize, body: F) -> (Trace, RunStats)
+    /// Trace an MPI program: runs it with the PMPI recorder installed. The
+    /// recorder feeds each rank's interned event ids straight into its
+    /// online Sequitur as calls complete, flushing a bounded buffer — the
+    /// flat id sequences never exist. Returns per-rank tables + local-id
+    /// grammars and the (instrumented) run statistics.
+    pub fn trace_run_streamed<'env, F>(
+        &self,
+        machine: Machine,
+        nranks: usize,
+        body: F,
+    ) -> (StreamedTrace, RunStats)
     where
         F: Fn(Rank) -> RankFut<'env> + Send + Sync,
     {
         let _span = span!("trace", nranks = nranks);
-        let recorder = Arc::new(Recorder::new(nranks, self.config.trace));
+        let mut trace = self.config.trace;
+        if !self.config.stream {
+            trace.stream_buf = STREAM_BUF_MAX;
+        }
+        let recorder = Arc::new(Recorder::new_streaming(nranks, trace));
         // With profiling (or comm-matrix / virtual-time-profile
         // collection) on, stack the observers under the recorder the way
         // PMPI tools chain; otherwise install the recorder alone.
@@ -134,55 +148,7 @@ impl Siesta {
             recorder.clone()
         };
         let stats = World::new(machine, nranks).with_hook(hook).run(body);
-        (recorder.finish(), stats)
-    }
-
-    /// Trace an MPI program with streaming ingest: the recorder feeds each
-    /// rank's interned event ids straight into its online Sequitur as calls
-    /// complete, flushing a bounded buffer — the flat id sequences never
-    /// exist. Returns per-rank tables + local-id grammars.
-    pub fn trace_run_streamed<'env, F>(
-        &self,
-        machine: Machine,
-        nranks: usize,
-        body: F,
-    ) -> (StreamedTrace, RunStats)
-    where
-        F: Fn(Rank) -> RankFut<'env> + Send + Sync,
-    {
-        let _span = span!("trace", nranks = nranks);
-        let recorder = Arc::new(Recorder::new_streaming(nranks, self.config.trace));
-        let sim_profile = siesta_mpisim::sim_profile_enabled();
-        let hook: Arc<dyn PmpiHook> = if profiling_enabled()
-            || siesta_mpisim::comm_matrix_enabled()
-            || sim_profile
-        {
-            let mut hooks: Vec<Arc<dyn PmpiHook>> =
-                vec![recorder.clone(), Arc::new(ObsHook::new(nranks))];
-            if sim_profile {
-                hooks.push(siesta_mpisim::SimProfiler::install(nranks));
-            }
-            Arc::new(FanoutHook::new(hooks))
-        } else {
-            recorder.clone()
-        };
-        let stats = World::new(machine, nranks).with_hook(hook).run(body);
         (recorder.finish_streamed(), stats)
-    }
-
-    /// Synthesize a proxy-app from a trace. `gen_machine` is the machine
-    /// the proxy is generated on (block micro-benchmarks and the comm
-    /// shrinking regression run there).
-    pub fn synthesize(&self, trace: Trace, gen_machine: &Machine) -> Synthesis {
-        let global = self.merge_trace(trace);
-        self.synthesize_global(global, gen_machine)
-    }
-
-    /// The materialized table merge (span-wrapped twin of
-    /// [`merge_streamed`](Siesta::merge_streamed)).
-    pub fn merge_trace(&self, trace: Trace) -> GlobalTrace {
-        let _span = span!("table-merge", nranks = trace.nranks);
-        merge_tables(trace)
     }
 
     /// Synthesize from an already-merged (possibly loaded-from-disk)
@@ -214,7 +180,9 @@ impl Siesta {
         )
     }
 
-    /// Synthesize from a streamed trace. The per-rank grammars already
+    /// Synthesize a proxy-app from a streamed trace. `gen_machine` is the
+    /// machine the proxy is generated on (block micro-benchmarks and the
+    /// comm shrinking regression run there). The per-rank grammars already
     /// exist (built online during the run); the table merge lifts them to
     /// global ids by terminal relabeling instead of re-running Sequitur,
     /// sharing one lifted grammar across ranks whose streams hashed
@@ -252,8 +220,9 @@ impl Siesta {
     }
 
     /// Shared synthesis back half: inter-process grammar merge, proxy
-    /// search, codegen, accounting. Both ingest modes land here with the
-    /// same (byte-identical) table and per-rank grammars.
+    /// search, codegen, accounting. The live (lifted grammars) and offline
+    /// (rebuilt grammars) front ends land here with the same
+    /// (byte-identical) table and per-rank grammars.
     fn finish_synthesis(
         &self,
         nranks: usize,
@@ -340,9 +309,7 @@ impl Siesta {
         Synthesis { program, stats }
     }
 
-    /// Convenience: trace a program and synthesize in one step, honouring
-    /// `config.stream` (streaming ingest by default; the materialized path
-    /// with `stream: false`). Both produce byte-identical syntheses.
+    /// Convenience: trace a program and synthesize in one step.
     pub fn synthesize_run<'env, F>(
         &self,
         machine: Machine,
@@ -352,13 +319,8 @@ impl Siesta {
     where
         F: Fn(Rank) -> RankFut<'env> + Send + Sync,
     {
-        if self.config.stream {
-            let (st, traced_stats) = self.trace_run_streamed(machine, nranks, body);
-            (self.synthesize_streamed(st, &machine), traced_stats)
-        } else {
-            let (trace, traced_stats) = self.trace_run(machine, nranks, body);
-            (self.synthesize(trace, &machine), traced_stats)
-        }
+        let (st, traced_stats) = self.trace_run_streamed(machine, nranks, body);
+        (self.synthesize_streamed(st, &machine), traced_stats)
     }
 }
 

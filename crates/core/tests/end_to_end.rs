@@ -38,14 +38,10 @@ fn communication_is_reproduced_losslessly() {
     for program in [Program::Bt, Program::Cg, Program::Sedov] {
         let nprocs = if program == Program::Bt { 9 } else { 8 };
         let siesta = Siesta::new(SiestaConfig::default());
-        let (trace, _) = siesta.trace_run(m, nprocs, program.body(ProblemSize::Tiny));
-        let global = siesta_trace::merge_tables(trace);
-        let synthesis = {
-            // Re-trace (merge_tables consumed the trace) — determinism
-            // makes the second trace identical.
-            let (trace2, _) = siesta.trace_run(m, nprocs, program.body(ProblemSize::Tiny));
-            siesta.synthesize(trace2, &m)
-        };
+        let (trace, _) = siesta.trace_run_streamed(m, nprocs, program.body(ProblemSize::Tiny));
+        let sg = siesta.merge_streamed(trace);
+        let global = sg.to_global_trace();
+        let synthesis = siesta.synthesize_streamed_global(sg, &m);
         for rank in 0..nprocs as u32 {
             let expanded = synthesis.program.expand_for_rank(rank);
             assert_eq!(
@@ -239,7 +235,7 @@ fn stats_count_the_right_things() {
     // And the trace-side record types match.
     let m = machine();
     let siesta = Siesta::new(SiestaConfig::default());
-    let (trace, _) = siesta.trace_run(m, 8, Program::Is.body(ProblemSize::Tiny));
+    let (trace, _) = siesta.trace_run_streamed(m, 8, Program::Is.body(ProblemSize::Tiny));
     let any_compute = trace.ranks[0].table.iter().any(|e| matches!(e, EventRecord::Compute(_)));
     assert!(any_compute);
 }

@@ -156,10 +156,10 @@ fn random_programs_synthesize_losslessly() {
     let m = Machine::default_eval();
     for seed in 0..6u64 {
         let siesta = Siesta::new(SiestaConfig::default());
-        let (trace, _) = siesta.trace_run(m, NRANKS, program(seed));
-        let global = siesta_trace::merge_tables(trace);
-        let (trace2, _) = siesta.trace_run(m, NRANKS, program(seed));
-        let synthesis = siesta.synthesize(trace2, &m);
+        let (trace, _) = siesta.trace_run_streamed(m, NRANKS, program(seed));
+        let sg = siesta.merge_streamed(trace);
+        let global = sg.to_global_trace();
+        let synthesis = siesta.synthesize_streamed_global(sg, &m);
         for rank in 0..NRANKS as u32 {
             assert_eq!(
                 synthesis.program.expand_for_rank(rank),

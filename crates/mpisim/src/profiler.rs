@@ -616,6 +616,11 @@ mod tests {
     use super::*;
     use siesta_perfmodel::CounterVec;
 
+    /// Serializes tests: `install` and `take_sim_profile` share the
+    /// process-global `CURRENT`, so concurrent tests could take each
+    /// other's profiler.
+    static CURRENT_LOCK: Mutex<()> = Mutex::new(());
+
     fn ctx(rank: usize, t0: f64, t1: f64, wait: f64) -> HookCtx {
         HookCtx {
             rank,
@@ -632,6 +637,7 @@ mod tests {
 
     #[test]
     fn records_intervals_with_peer_and_wait() {
+        let _g = CURRENT_LOCK.lock().unwrap();
         let p = SimProfiler::install(2);
         let send = MpiCall::Send { comm: CommId::WORLD, dest: 1, tag: 7, bytes: 64 };
         p.post(&ctx(0, 10.0, 30.0, 0.0), &send);
@@ -654,6 +660,7 @@ mod tests {
 
     #[test]
     fn waitall_inlines_small_and_flags_overflow() {
+        let _g = CURRENT_LOCK.lock().unwrap();
         let p = SimProfiler::install(1);
         p.post(&ctx(0, 0.0, 1.0, 0.0), &MpiCall::Waitall { reqs: vec![3, 1, 2] });
         p.post(&ctx(0, 1.0, 2.0, 0.0), &MpiCall::Waitall { reqs: (0..12).collect() });
@@ -666,6 +673,7 @@ mod tests {
 
     #[test]
     fn breakdown_and_trace_are_deterministic() {
+        let _g = CURRENT_LOCK.lock().unwrap();
         let p = SimProfiler::install(4);
         for r in 0..4 {
             let call = MpiCall::Allreduce { comm: CommId::WORLD, bytes: 8 };

@@ -49,7 +49,7 @@ pub use metrics::{
     counter, gauge, histogram, metrics_snapshot, reset_metrics, Counter, Gauge, Histogram,
     HistogramSummary, MetricsSnapshot,
 };
-pub use rss::{current_rss_bytes, peak_rss_bytes};
+pub use rss::{peak_rss_bytes, rss_snapshot};
 pub use selftime::self_times;
 pub use span::{
     drain, drain_spans, profiling_enabled, register_thread, set_profiling_enabled,

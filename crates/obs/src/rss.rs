@@ -16,10 +16,13 @@ pub fn peak_rss_bytes() -> Option<u64> {
     parse_vm_hwm(&status)
 }
 
-/// Current resident set size in bytes (`VmRSS`), or `None` off-Linux.
-pub fn current_rss_bytes() -> Option<u64> {
+/// `(current, peak)` resident set size in bytes (`VmRSS`, `VmHWM`), both
+/// parsed from one read of `/proc/self/status`, or `None` off-Linux. One
+/// snapshot keeps the pair consistent (`current <= peak`); two reads would
+/// let RSS grow in between.
+pub fn rss_snapshot() -> Option<(u64, u64)> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    parse_field(&status, "VmRSS:")
+    Some((parse_field(&status, "VmRSS:")?, parse_vm_hwm(&status)?))
 }
 
 fn parse_vm_hwm(status: &str) -> Option<u64> {
@@ -61,7 +64,7 @@ mod tests {
         // A test process surely holds between 1 MB and 1 TB resident.
         assert!(hwm > 1 << 20, "peak RSS {hwm} implausibly small");
         assert!(hwm < 1 << 40, "peak RSS {hwm} implausibly large");
-        let rss = current_rss_bytes().expect("VmRSS on Linux");
+        let (rss, hwm) = rss_snapshot().expect("VmRSS and VmHWM on Linux");
         assert!(rss <= hwm, "current {rss} above high-water {hwm}");
     }
 }

@@ -6,17 +6,19 @@
 //! communicator handles), measures the computation interval since the
 //! previous call through the hardware-counter model, clusters similar
 //! computation events, and hash-conses everything into per-rank event
-//! tables. [`merge_tables`] then folds the per-rank tables into one global
-//! terminal table with a ⌈log₂P⌉ binary reduction, producing the
-//! [`GlobalTrace`] the grammar stage consumes.
+//! tables, feeding each rank's id stream into an online Sequitur through a
+//! bounded buffer. [`merge_streamed`] then folds the per-rank tables into
+//! one global terminal table with a ⌈log₂P⌉ binary reduction and lifts
+//! every rank's grammar to global ids, producing the [`StreamedGlobal`]
+//! the grammar-merge stage consumes.
 
 //! ```
 //! use std::sync::Arc;
 //! use siesta_mpisim::World;
 //! use siesta_perfmodel::{Machine, KernelDesc};
-//! use siesta_trace::{Recorder, TraceConfig, merge_tables};
+//! use siesta_trace::{merge_streamed, Recorder, TraceConfig};
 //!
-//! let recorder = Arc::new(Recorder::new(4, TraceConfig::default()));
+//! let recorder = Arc::new(Recorder::new_streaming(4, TraceConfig::default()));
 //! World::new(Machine::default_eval(), 4)
 //!     .with_hook(recorder.clone())
 //!     .run(|mut rank| Box::pin(async move {
@@ -27,11 +29,11 @@
 //!         }
 //!         rank
 //!     }));
-//! let global = merge_tables(recorder.finish());
+//! let global = merge_streamed(recorder.finish_streamed(), true);
 //! // Four ranks, identical behaviour: two global terminals
 //! // (one compute cluster + the allreduce), 6 events per rank.
 //! assert!(global.table.len() <= 3);
-//! assert!(global.seqs.iter().all(|s| s.len() == 6));
+//! assert!((0..4).all(|r| global.expand_rank(r).len() == 6));
 //! ```
 
 pub mod event;
@@ -44,13 +46,11 @@ pub mod text;
 pub mod wire;
 
 pub use event::{abs_rank, counters_close, rel_rank, CommEvent, ComputeStats, EventRecord};
-pub use merge::{
-    merge_rank_tables, merge_streamed, merge_tables, GlobalTrace, MergedTables, StreamedGlobal,
-};
+pub use merge::{merge_rank_tables, merge_streamed, GlobalTrace, MergedTables, StreamedGlobal};
 pub use pool::{FreePool, HandleMap};
-pub use store::{store_to_bytes, write_store, StoreError, StoreWriter, TraceStore};
-pub use wire::{load_trace, save_trace, trace_from_bytes, trace_to_bytes};
+pub use store::{store_to_bytes, StoreError, StoreWriter, TraceStore};
+pub use wire::load_trace;
 pub use recorder::{
-    resolve_stream_buf, Normalizer, RankTraceData, Recorder, StreamedRank, StreamedTrace, Trace,
-    TraceConfig, DEFAULT_STREAM_BUF, STREAM_BUF_MAX, STREAM_BUF_MIN,
+    resolve_stream_buf, Normalizer, Recorder, StreamedRank, StreamedTrace, TraceConfig,
+    DEFAULT_STREAM_BUF, STREAM_BUF_MAX, STREAM_BUF_MIN,
 };

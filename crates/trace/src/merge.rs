@@ -6,8 +6,9 @@
 //! time complexity of the entire merging process is log₂P."
 //!
 //! This module performs that merge as an actual binary reduction tree:
-//! per-rank tables combine pairwise, level by level, with each rank's id
-//! sequence remapped into the winning table. Communication events merge on
+//! per-rank tables combine pairwise, level by level, composing each rank's
+//! local-id → global-id remap; [`merge_streamed`] then lifts every rank's
+//! online-built grammar through its remap. Communication events merge on
 //! structural equality (normalization already made them comparable);
 //! computation events merge when their representatives agree within the
 //! clustering threshold, pooling their counter statistics.
@@ -16,7 +17,6 @@ use siesta_grammar::{Grammar, Sequitur};
 use siesta_hash::{fx_map_with_capacity, FxHashMap};
 
 use crate::event::{counters_close, EventRecord};
-use crate::recorder::Trace;
 
 /// Cross-rank compute clustering threshold. Representatives from different
 /// ranks measure the same kernel with independent noise, so the merge
@@ -36,11 +36,10 @@ pub struct GlobalTrace {
     pub merge_rounds: u32,
 }
 
-/// Output of the table-only merge: the global terminal table plus, for
-/// every rank, the composed local-table-id → global-id remap vector. The
-/// remaps are table-sized (not sequence-sized), so this form is what the
-/// streaming path consumes — the per-rank id sequences never have to
-/// materialize to build it.
+/// Output of the table merge: the global terminal table plus, for every
+/// rank, the composed local-table-id → global-id remap vector. The remaps
+/// are table-sized (not sequence-sized), so the per-rank id sequences never
+/// have to materialize to build it.
 #[derive(Debug, Clone)]
 pub struct MergedTables {
     pub nranks: usize,
@@ -58,10 +57,8 @@ struct Partial {
     /// (table id, representative) per compute cluster.
     compute_clusters: Vec<(u32, siesta_perfmodel::CounterVec)>,
     /// (rank, composed local→this-table remap) pairs covered by this
-    /// partial table. Remaps compose through absorb levels instead of
-    /// rewriting whole sequences at every level: function composition
-    /// gives the same final mapping as the old per-level sequence
-    /// rewrites, at table-size instead of sequence-length cost per round.
+    /// partial table. Remaps compose through absorb levels, at table-size
+    /// cost per round.
     remaps: Vec<(usize, Vec<u32>)>,
 }
 
@@ -131,9 +128,7 @@ impl Partial {
 }
 
 /// Merge per-rank terminal tables into one global table via a binary
-/// reduction tree, returning the table and per-rank remap vectors. This is
-/// the sequence-free half of [`merge_tables`]; the streaming ingest path
-/// calls it directly (its sequences live inside per-rank grammars).
+/// reduction tree, returning the table and per-rank remap vectors.
 pub fn merge_rank_tables(tables: Vec<Vec<EventRecord>>) -> MergedTables {
     let nranks = tables.len();
     let mut level: Vec<Partial> = tables
@@ -189,46 +184,6 @@ pub fn merge_rank_tables(tables: Vec<Vec<EventRecord>>) -> MergedTables {
     MergedTables { nranks, table: root.table, remaps, merge_rounds: rounds }
 }
 
-/// Merge all rank tables into one global table via a binary reduction tree
-/// and rewrite every rank's id sequence into global ids.
-pub fn merge_tables(trace: Trace) -> GlobalTrace {
-    let nranks = trace.nranks;
-    let raw_bytes = trace.raw_bytes();
-    let mut tables = Vec::with_capacity(nranks);
-    let mut seqs = Vec::with_capacity(nranks);
-    for rd in trace.ranks {
-        tables.push(rd.table);
-        seqs.push(rd.seq);
-    }
-    let merged = merge_rank_tables(tables);
-    // Apply each rank's composed remap to its sequence exactly once — the
-    // composition of the per-level mappings is the same function the old
-    // per-level sequence rewrites applied step by step, so every output id
-    // is bit-identical to the incremental rewrite. One pass over the
-    // events replaces ⌈log₂P⌉ of them.
-    let events: usize = seqs.iter().map(Vec::len).sum();
-    const MIN_EVENTS_TO_FAN_OUT: usize = 4096;
-    let pairs: Vec<(Vec<u32>, Vec<u32>)> = seqs.into_iter().zip(merged.remaps).collect();
-    let seqs = siesta_par::parallel_map_owned_min_work(
-        pairs,
-        events,
-        MIN_EVENTS_TO_FAN_OUT,
-        |_, (mut seq, remap)| {
-            for id in &mut seq {
-                *id = remap[*id as usize];
-            }
-            seq
-        },
-    );
-    GlobalTrace {
-        nranks,
-        table: merged.table,
-        seqs,
-        raw_bytes,
-        merge_rounds: merged.merge_rounds,
-    }
-}
-
 /// The job-wide trace a streaming ingest produces: one global terminal
 /// table plus per-rank grammars whose terminals are *global* ids. The flat
 /// per-rank id sequences never materialize — each rank's sequence exists
@@ -254,8 +209,8 @@ impl StreamedGlobal {
     }
 
     /// Write the columnar trace store, expanding one rank at a time. The
-    /// output is byte-identical to [`crate::store::write_store`] over the
-    /// materialized [`GlobalTrace`] of the same run.
+    /// output is byte-identical to [`crate::store::store_to_bytes`] over
+    /// [`to_global_trace`](StreamedGlobal::to_global_trace).
     pub fn write_store(&self, path: &std::path::Path) -> std::io::Result<()> {
         use std::io::Write;
         let file = std::fs::File::create(path)?;
@@ -277,8 +232,9 @@ impl StreamedGlobal {
         sink.flush()
     }
 
-    /// Materialize every sequence — the differential oracle's bridge back
-    /// to the row-oriented world. Costs the memory streaming avoids.
+    /// Materialize every sequence — the bridge to the offline
+    /// (`synthesize_global`) path and the text renderer. Costs the memory
+    /// streaming avoids.
     pub fn to_global_trace(&self) -> GlobalTrace {
         GlobalTrace {
             nranks: self.nranks,
@@ -406,7 +362,7 @@ pub fn merge_streamed(st: crate::recorder::StreamedTrace, memoize: bool) -> Stre
                 g.relabel_terminals(&remap)
             } else {
                 // Equality pattern changed under the merge: fall back to
-                // expand → remap → rebuild, exactly the materialized path.
+                // expand → remap → rebuild.
                 let mut seq = g.expand_main();
                 for id in &mut seq {
                     *id = remap[*id as usize];
@@ -440,7 +396,6 @@ pub fn merge_streamed(st: crate::recorder::StreamedTrace, memoize: bool) -> Stre
 mod tests {
     use super::*;
     use crate::event::{CommEvent, ComputeStats, EventRecord};
-    use crate::recorder::RankTraceData;
     use siesta_perfmodel::CounterVec;
 
     fn comm(rel: u32) -> EventRecord {
@@ -453,25 +408,32 @@ mod tests {
         ))
     }
 
-    fn trace(ranks: Vec<(Vec<EventRecord>, Vec<u32>)>) -> Trace {
-        Trace {
+    /// Naive reference for the whole front end: merge the tables, then
+    /// rewrite every rank's materialized id sequence through its remap.
+    fn reference(ranks: &[(Vec<EventRecord>, Vec<u32>)]) -> GlobalTrace {
+        let merged = merge_rank_tables(ranks.iter().map(|(t, _)| t.clone()).collect());
+        let seqs = ranks
+            .iter()
+            .zip(&merged.remaps)
+            .map(|((_, seq), remap)| seq.iter().map(|&id| remap[id as usize]).collect())
+            .collect();
+        GlobalTrace {
             nranks: ranks.len(),
-            ranks: ranks
-                .into_iter()
-                .map(|(table, seq)| RankTraceData { table, seq, raw_bytes: 100 })
-                .collect(),
+            table: merged.table,
+            seqs,
+            raw_bytes: 100 * ranks.len(),
+            merge_rounds: merged.merge_rounds,
         }
     }
 
     #[test]
     fn duplicate_terminals_merge_across_ranks() {
-        let t = trace(vec![
+        let g = reference(&[
             (vec![comm(1), compute(1.0, 10.0)], vec![0, 1, 0]),
             (vec![comm(1), compute(1.05, 10.0)], vec![0, 1, 0]),
             (vec![comm(2)], vec![0, 0]),
             (vec![comm(1)], vec![0]),
         ]);
-        let g = merge_tables(t);
         // comm(1), compute(3), comm(2): three global terminals.
         assert_eq!(g.table.len(), 3);
         assert_eq!(g.merge_rounds, 2); // log2(4)
@@ -495,26 +457,24 @@ mod tests {
 
     #[test]
     fn single_rank_passes_through() {
-        let t = trace(vec![(vec![comm(1), comm(2)], vec![0, 1, 1])]);
-        let g = merge_tables(t);
-        assert_eq!(g.table.len(), 2);
-        assert_eq!(g.seqs[0], vec![0, 1, 1]);
-        assert_eq!(g.merge_rounds, 0);
-        assert_eq!(g.raw_bytes, 100);
+        let merged = merge_rank_tables(vec![vec![comm(1), comm(2)]]);
+        assert_eq!(merged.table.len(), 2);
+        assert_eq!(merged.remaps, vec![vec![0, 1]]);
+        assert_eq!(merged.merge_rounds, 0);
     }
 
     #[test]
     fn rounds_are_log2_of_ranks() {
         for (p, expect) in [(2usize, 1u32), (3, 2), (8, 3), (9, 4), (64, 6)] {
-            let t = trace((0..p).map(|_| (vec![comm(1)], vec![0])).collect());
-            assert_eq!(merge_tables(t).merge_rounds, expect, "p={p}");
+            let merged = merge_rank_tables((0..p).map(|_| vec![comm(1)]).collect());
+            assert_eq!(merged.merge_rounds, expect, "p={p}");
         }
     }
 
     #[test]
     fn table_only_merge_agrees_with_sequence_rewrite() {
-        // Applying the composed remaps by hand must reproduce exactly what
-        // merge_tables produces — the streaming path depends on it.
+        // Every remap covers its rank's whole table, and rewriting a
+        // sequence through it preserves the rank's record stream.
         let ranks: Vec<(Vec<EventRecord>, Vec<u32>)> = vec![
             (vec![comm(1), compute(1.0, 10.0), comm(2)], vec![0, 1, 2, 0]),
             (vec![comm(2), compute(1.02, 10.0)], vec![0, 1, 1]),
@@ -522,16 +482,15 @@ mod tests {
             (vec![compute(5.0, 10.0), comm(1)], vec![0, 1]),
             (vec![comm(1), compute(1.0, 10.0), comm(2)], vec![0, 1, 2, 0]),
         ];
-        let tables: Vec<Vec<EventRecord>> = ranks.iter().map(|(t, _)| t.clone()).collect();
-        let merged = merge_rank_tables(tables);
-        let g = merge_tables(trace(ranks.clone()));
-        assert_eq!(merged.table.len(), g.table.len());
-        assert_eq!(merged.merge_rounds, g.merge_rounds);
+        let merged = merge_rank_tables(ranks.iter().map(|(t, _)| t.clone()).collect());
+        let g = reference(&ranks);
         for (rank, (table, seq)) in ranks.iter().enumerate() {
             assert_eq!(merged.remaps[rank].len(), table.len());
-            let rewritten: Vec<u32> =
-                seq.iter().map(|&id| merged.remaps[rank][id as usize]).collect();
-            assert_eq!(rewritten, g.seqs[rank], "rank {rank}");
+            for (&local, &global) in seq.iter().zip(&g.seqs[rank]) {
+                if let EventRecord::Comm(c) = &table[local as usize] {
+                    assert_eq!(g.table[global as usize], EventRecord::Comm(c.clone()));
+                }
+            }
         }
         // Identical leaves compose to identical remaps (memo-on-stream
         // shares relabeled grammars between such ranks).
@@ -579,7 +538,7 @@ mod tests {
             (vec![comm(1), compute(1.0, 10.0), comm(2)], vec![0, 1, 2, 0, 1]),
             (vec![comm(3)], vec![0]),
         ];
-        let g = merge_tables(trace(ranks.clone()));
+        let g = reference(&ranks);
         for memo in [false, true] {
             let sg = merge_streamed(streamed(&ranks), memo);
             assert_eq!(sg.table.len(), g.table.len());
@@ -588,7 +547,7 @@ mod tests {
             for rank in 0..ranks.len() {
                 assert_eq!(sg.expand_rank(rank), g.seqs[rank], "rank {rank} memo {memo}");
                 // Not just the same sequence: the same grammar Sequitur
-                // would build from the materialized global sequence.
+                // would build from the rewritten global sequence.
                 assert_eq!(
                     sg.grammars[rank],
                     Sequitur::build(&g.seqs[rank]),
@@ -612,8 +571,7 @@ mod tests {
         // must reproduce its original record stream.
         let r0 = vec![comm(1), comm(2)];
         let r1 = vec![comm(2), comm(3)];
-        let t = trace(vec![(r0.clone(), vec![0, 1, 0]), (r1.clone(), vec![1, 0, 1])]);
-        let g = merge_tables(t);
+        let g = reference(&[(r0.clone(), vec![0, 1, 0]), (r1.clone(), vec![1, 0, 1])]);
         let decode = |table: &[EventRecord], seq: &[u32]| -> Vec<String> {
             seq.iter().map(|&i| format!("{:?}", table[i as usize])).collect()
         };

@@ -70,7 +70,7 @@ pub struct TraceConfig {
     /// record write. Produces the Table 3 overhead column.
     pub overhead_ns: f64,
     /// Bounded per-rank buffer between the hook and the online Sequitur,
-    /// in event ids (streaming recorders only). Overridable with
+    /// in event ids. Overridable with
     /// `--stream-buf` / `SIESTA_STREAM_BUF` via [`resolve_stream_buf`].
     pub stream_buf: usize,
 }
@@ -85,22 +85,10 @@ impl Default for TraceConfig {
     }
 }
 
-/// Where a rank's id sequence goes: a plain vector (materialized path) or
-/// a bounded buffer feeding an online Sequitur (streaming path). Streaming
-/// never holds more than `limit` ids outside the grammar — the full
+/// A rank's id sequence sink: a bounded buffer feeding an online Sequitur.
+/// It never holds more than `limit` ids outside the grammar — the full
 /// sequence exists only as its compressed grammar plus a running content
 /// hash.
-enum SeqSink {
-    Materialized(Vec<u32>),
-    Streaming(Box<StreamSink>),
-}
-
-impl Default for SeqSink {
-    fn default() -> Self {
-        SeqSink::Materialized(Vec::new())
-    }
-}
-
 struct StreamSink {
     buf: Vec<u32>,
     limit: usize,
@@ -152,9 +140,10 @@ impl StreamSink {
     }
 }
 
-#[derive(Default)]
 struct RankTrace {
-    sink: SeqSink,
+    /// Boxed: keeps the per-rank slot small, so the recorder's rank vector
+    /// stays a modest allocation even at 10⁴–10⁶ ranks.
+    sink: Box<StreamSink>,
     table: Vec<EventRecord>,
     comm_index: HashMap<CommEvent, u32>,
     /// (table id, representative) per compute cluster; scanned linearly —
@@ -163,21 +152,18 @@ struct RankTrace {
     last_counters: CounterVec,
     normalizer: Normalizer,
     raw_bytes: usize,
-    initialized: bool,
 }
 
 impl RankTrace {
-    fn ensure_init(&mut self) {
-        if !self.initialized {
-            self.normalizer = Normalizer::new();
-            self.initialized = true;
-        }
-    }
-
-    fn push_id(&mut self, id: u32) {
-        match &mut self.sink {
-            SeqSink::Materialized(seq) => seq.push(id),
-            SeqSink::Streaming(s) => s.push(id),
+    fn new(stream_buf: usize) -> RankTrace {
+        RankTrace {
+            sink: Box::new(StreamSink::new(stream_buf.max(1))),
+            table: Vec::new(),
+            comm_index: HashMap::new(),
+            compute_clusters: Vec::new(),
+            last_counters: CounterVec::default(),
+            normalizer: Normalizer::new(),
+            raw_bytes: 0,
         }
     }
 
@@ -206,7 +192,7 @@ impl RankTrace {
                 id
             }
         };
-        self.push_id(id);
+        self.sink.push(id);
         self.raw_bytes += serialize::compute_record_bytes();
     }
 
@@ -221,7 +207,7 @@ impl RankTrace {
                 id
             }
         };
-        self.push_id(id);
+        self.sink.push(id);
     }
 }
 
@@ -388,33 +374,6 @@ impl Normalizer {
 
 }
 
-/// Per-rank trace output.
-#[derive(Debug, Clone)]
-pub struct RankTraceData {
-    pub table: Vec<EventRecord>,
-    pub seq: Vec<u32>,
-    /// Bytes the uncompressed trace records would occupy on disk (the
-    /// Table 3 "Trace size" model).
-    pub raw_bytes: usize,
-}
-
-/// Whole-job trace output (pre-merge).
-#[derive(Debug, Clone)]
-pub struct Trace {
-    pub nranks: usize,
-    pub ranks: Vec<RankTraceData>,
-}
-
-impl Trace {
-    pub fn raw_bytes(&self) -> usize {
-        self.ranks.iter().map(|r| r.raw_bytes).sum()
-    }
-
-    pub fn total_events(&self) -> usize {
-        self.ranks.iter().map(|r| r.seq.len()).sum()
-    }
-}
-
 /// Per-rank output of a streaming-ingest run: the local event table plus
 /// the rank's id sequence in compressed form only — the grammar the online
 /// Sequitur built during the run, and a running content hash + length of
@@ -450,66 +409,22 @@ impl StreamedTrace {
 }
 
 /// The PMPI interposer. Share it with the `World` via `Arc`, run the
-/// program, then call [`Recorder::finish`] (materialized recorders) or
-/// [`Recorder::finish_streamed`] (streaming recorders).
+/// program, then call [`Recorder::finish_streamed`].
 pub struct Recorder {
     per_rank: Vec<Mutex<RankTrace>>,
     config: TraceConfig,
-    stream: bool,
 }
 
 impl Recorder {
-    /// A materialized recorder: each rank's id sequence is stored in full.
-    pub fn new(nranks: usize, config: TraceConfig) -> Recorder {
-        Recorder {
-            per_rank: (0..nranks).map(|_| Mutex::new(RankTrace::default())).collect(),
-            config,
-            stream: false,
-        }
-    }
-
     /// A streaming recorder: each rank's ids feed an online Sequitur
     /// through a bounded buffer of `config.stream_buf` ids; the full
     /// sequence never materializes. Grammar construction happens on the
     /// scheduler's pool threads as the simulated program runs.
     pub fn new_streaming(nranks: usize, config: TraceConfig) -> Recorder {
         Recorder {
-            per_rank: (0..nranks)
-                .map(|_| {
-                    Mutex::new(RankTrace {
-                        sink: SeqSink::Streaming(Box::new(StreamSink::new(config.stream_buf.max(1)))),
-                        ..RankTrace::default()
-                    })
-                })
-                .collect(),
+            per_rank: (0..nranks).map(|_| Mutex::new(RankTrace::new(config.stream_buf))).collect(),
             config,
-            stream: true,
         }
-    }
-
-    /// Extract the recorded trace, resetting the recorder.
-    pub fn finish(&self) -> Trace {
-        assert!(!self.stream, "finish() on a streaming Recorder — use finish_streamed()");
-        let ranks: Vec<RankTraceData> = self
-            .per_rank
-            .iter()
-            .map(|m| {
-                let tr = mem::take(&mut *m.lock().unwrap());
-                let seq = match tr.sink {
-                    SeqSink::Materialized(seq) => seq,
-                    SeqSink::Streaming(_) => unreachable!("materialized recorder"),
-                };
-                RankTraceData { table: tr.table, seq, raw_bytes: tr.raw_bytes }
-            })
-            .collect();
-        let trace = Trace { nranks: self.per_rank.len(), ranks };
-        siesta_obs::debug!(
-            "trace: recorded {} events ({} raw bytes) across {} ranks",
-            trace.total_events(),
-            trace.raw_bytes(),
-            trace.nranks
-        );
-        trace
     }
 
     /// Extract the streamed trace, resetting the recorder: drains every
@@ -518,18 +433,15 @@ impl Recorder {
     /// stream is deterministic whatever order the scheduler completed
     /// them in.
     pub fn finish_streamed(&self) -> StreamedTrace {
-        assert!(self.stream, "finish_streamed() on a materialized Recorder — use finish()");
         let mut flushes = 0u64;
         let mut peak = 0usize;
         let ranks: Vec<StreamedRank> = self
             .per_rank
             .iter()
             .map(|m| {
-                let mut tr = self.fresh_streaming_take(m);
-                let mut s = match mem::take(&mut tr.sink) {
-                    SeqSink::Streaming(s) => s,
-                    SeqSink::Materialized(_) => unreachable!("streaming recorder"),
-                };
+                let fresh = RankTrace::new(self.config.stream_buf);
+                let tr = mem::replace(&mut *m.lock().unwrap(), fresh);
+                let mut s = tr.sink;
                 s.flush();
                 flushes += s.flushes;
                 peak = peak.max(s.peak_buffered);
@@ -554,17 +466,6 @@ impl Recorder {
         );
         trace
     }
-
-    /// Swap a rank's state out for a fresh streaming one (so a reused
-    /// recorder keeps streaming, mirroring what `finish` does for the
-    /// materialized mode).
-    fn fresh_streaming_take(&self, m: &Mutex<RankTrace>) -> RankTrace {
-        let fresh = RankTrace {
-            sink: SeqSink::Streaming(Box::new(StreamSink::new(self.config.stream_buf.max(1)))),
-            ..RankTrace::default()
-        };
-        mem::replace(&mut *m.lock().unwrap(), fresh)
-    }
 }
 
 impl PmpiHook for Recorder {
@@ -575,7 +476,6 @@ impl PmpiHook for Recorder {
 
     fn post(&self, ctx: &HookCtx, call: &MpiCall) {
         let mut tr = self.per_rank[ctx.rank].lock().unwrap();
-        tr.ensure_init();
         tr.close_compute_interval(ctx.counters, self.config.cluster_threshold);
         let event = tr.normalizer.normalize(ctx, call);
         tr.record_comm(event);
@@ -598,14 +498,14 @@ mod tests {
         Machine::new(platform_a(), MpiFlavor::OpenMpi)
     }
 
-    fn record(program: Program, nprocs: usize) -> Trace {
+    fn record(program: Program, nprocs: usize) -> StreamedTrace {
         record_sized(program, nprocs, ProblemSize::Tiny)
     }
 
-    fn record_sized(program: Program, nprocs: usize, size: ProblemSize) -> Trace {
-        let rec = Arc::new(Recorder::new(nprocs, TraceConfig::default()));
+    fn record_sized(program: Program, nprocs: usize, size: ProblemSize) -> StreamedTrace {
+        let rec = Arc::new(Recorder::new_streaming(nprocs, TraceConfig::default()));
         program.run_hooked(machine(), nprocs, size, rec.clone());
-        rec.finish()
+        rec.finish_streamed()
     }
 
     #[test]
@@ -613,7 +513,8 @@ mod tests {
         let a = record(Program::Cg, 8);
         let b = record(Program::Cg, 8);
         for (x, y) in a.ranks.iter().zip(&b.ranks) {
-            assert_eq!(x.seq, y.seq);
+            assert_eq!(x.grammar, y.grammar);
+            assert_eq!(x.seq_hash, y.seq_hash);
             assert_eq!(x.raw_bytes, y.raw_bytes);
         }
     }
@@ -622,7 +523,7 @@ mod tests {
     fn events_alternate_compute_and_comm() {
         let t = record(Program::Mg, 8);
         for r in &t.ranks {
-            assert!(!r.seq.is_empty());
+            assert!(r.seq_len > 0);
             // The table contains both kinds.
             assert!(r.table.iter().any(|e| e.is_comm()));
             assert!(r.table.iter().any(|e| !e.is_comm()));
@@ -635,10 +536,10 @@ mod tests {
         let t = record(Program::Sweep3d, 8);
         for r in &t.ranks {
             assert!(
-                r.table.len() * 3 < r.seq.len(),
+                r.table.len() * 3 < r.seq_len,
                 "table {} vs seq {}",
                 r.table.len(),
-                r.seq.len()
+                r.seq_len
             );
         }
     }
@@ -650,7 +551,7 @@ mod tests {
         // property Section 2.2 relies on for cross-process merging.
         use siesta_mpisim::World;
         use siesta_perfmodel::KernelDesc;
-        let rec = Arc::new(Recorder::new(6, TraceConfig::default()));
+        let rec = Arc::new(Recorder::new_streaming(6, TraceConfig::default()));
         World::new(machine(), 6).with_hook(rec.clone()).run(|mut rank| {
             Box::pin(async move {
                 let comm = rank.comm_world();
@@ -667,9 +568,10 @@ mod tests {
                 rank
             })
         });
-        let t = rec.finish();
-        let decode = |rd: &RankTraceData| -> Vec<String> {
-            rd.seq
+        let t = rec.finish_streamed();
+        let decode = |rd: &StreamedRank| -> Vec<String> {
+            rd.grammar
+                .expand_main()
                 .iter()
                 .filter_map(|&id| match &rd.table[id as usize] {
                     EventRecord::Comm(c) => Some(format!("{c:?}")),
@@ -685,7 +587,7 @@ mod tests {
         // And with clustering, the *full* id sequences are identical too
         // (each rank clusters its noisy kernel readings into one event).
         for r in &t.ranks[1..] {
-            assert_eq!(r.seq, t.ranks[0].seq);
+            assert_eq!(r.grammar.expand_main(), t.ranks[0].grammar.expand_main());
         }
     }
 
@@ -709,7 +611,7 @@ mod tests {
     #[test]
     fn tracing_overhead_is_small() {
         let base = Program::Bt.run(machine(), 9, ProblemSize::Tiny);
-        let rec = Arc::new(Recorder::new(9, TraceConfig::default()));
+        let rec = Arc::new(Recorder::new_streaming(9, TraceConfig::default()));
         let hooked = Program::Bt.run_hooked(machine(), 9, ProblemSize::Tiny, rec);
         let overhead = (hooked.elapsed_ns() - base.elapsed_ns()) / base.elapsed_ns();
         assert!(overhead > 0.0);
@@ -726,12 +628,27 @@ mod tests {
 
     #[test]
     fn finish_resets_state() {
-        let rec = Arc::new(Recorder::new(4, TraceConfig::default()));
+        let rec = Arc::new(Recorder::new_streaming(4, TraceConfig::default()));
         Program::Is.run_hooked(machine(), 4, ProblemSize::Tiny, rec.clone());
-        let t1 = rec.finish();
-        assert!(t1.total_events() > 0);
-        let t2 = rec.finish();
-        assert_eq!(t2.total_events(), 0);
+        assert!(rec.finish_streamed().total_events() > 0);
+        assert_eq!(rec.finish_streamed().total_events(), 0);
+    }
+
+    #[test]
+    fn streamed_finish_resets_state() {
+        // Still recording after the reset: a second run reproduces a
+        // fresh recorder's trace.
+        let rec = Arc::new(Recorder::new_streaming(4, TraceConfig::default()));
+        Program::Is.run_hooked(machine(), 4, ProblemSize::Tiny, rec.clone());
+        assert!(rec.finish_streamed().total_events() > 0);
+        Program::Is.run_hooked(machine(), 4, ProblemSize::Tiny, rec.clone());
+        let again = rec.finish_streamed();
+        let fresh = record(Program::Is, 4);
+        assert_eq!(again.total_events(), fresh.total_events());
+        for (a, b) in again.ranks.iter().zip(&fresh.ranks) {
+            assert_eq!(a.grammar, b.grammar);
+            assert_eq!(a.table, b.table);
+        }
     }
 
     fn record_streamed(program: Program, nprocs: usize, buf: usize) -> StreamedTrace {
@@ -743,22 +660,23 @@ mod tests {
 
     #[test]
     fn streamed_matches_materialized_per_rank() {
-        // The streaming sink must be an exact compressed image of the
-        // materialized path: same tables, same raw bytes, and a grammar
-        // that expands to the very sequence the materialized path stored.
+        // Flush cadence must be invisible: at every buffer size each
+        // rank's online grammar is exactly the one Sequitur builds from
+        // the materialized (expanded) sequence, and tables, raw bytes,
+        // hashes and grammars agree across buffer sizes.
         for program in [Program::Cg, Program::Sweep3d, Program::Is] {
-            let mat = record(program, 8);
-            for buf in [16usize, 256, DEFAULT_STREAM_BUF] {
+            let reference = record_streamed(program, 8, STREAM_BUF_MAX);
+            for buf in [16usize, 256, DEFAULT_STREAM_BUF, STREAM_BUF_MAX] {
                 let st = record_streamed(program, 8, buf);
-                assert_eq!(st.raw_bytes(), mat.raw_bytes());
-                assert_eq!(st.total_events(), mat.total_events());
-                for (s, m) in st.ranks.iter().zip(&mat.ranks) {
-                    assert_eq!(s.table, m.table);
-                    assert_eq!(s.seq_len, m.seq.len());
-                    assert_eq!(s.grammar.expand_main(), m.seq, "{program:?} buf={buf}");
-                    // And the grammar is the one Sequitur would build from
-                    // the materialized sequence (not merely expansion-equal).
-                    assert_eq!(s.grammar, Sequitur::build(&m.seq));
+                assert_eq!(st.raw_bytes(), reference.raw_bytes());
+                assert_eq!(st.total_events(), reference.total_events());
+                for (s, r) in st.ranks.iter().zip(&reference.ranks) {
+                    let seq = s.grammar.expand_main();
+                    assert_eq!(s.seq_len, seq.len());
+                    assert_eq!(s.grammar, Sequitur::build(&seq), "{program:?} buf={buf}");
+                    assert_eq!(s.grammar, r.grammar, "{program:?} buf={buf}");
+                    assert_eq!(s.table, r.table);
+                    assert_eq!(s.seq_hash, r.seq_hash);
                 }
             }
         }
@@ -779,15 +697,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn streamed_finish_resets_state() {
-        let rec = Arc::new(Recorder::new_streaming(4, TraceConfig::default()));
-        Program::Is.run_hooked(machine(), 4, ProblemSize::Tiny, rec.clone());
-        assert!(rec.finish_streamed().total_events() > 0);
-        // Still a streaming recorder after the reset, and empty.
-        assert_eq!(rec.finish_streamed().total_events(), 0);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Zero-copy columnar trace store (`.siestatrace`, format `SIESTC1`).
 //!
-//! The row-oriented codec in [`crate::wire`] decodes every event on every
-//! load — fine for the proxy artifacts, hopeless for multi-GB traces that
-//! replay and baseline comparison re-read many times. This store lays a
-//! merged trace out the way readers consume it, following the renacer
+//! The one on-disk trace format. A row codec would decode every event on
+//! every load — fine for the proxy artifacts, hopeless for multi-GB traces
+//! that replay and baseline comparison re-read many times. This store lays
+//! a merged trace out the way readers consume it, following the renacer
 //! tracing exemplar (hash-interned ids, mmap-backed logs):
 //!
 //! * **Struct-of-arrays event table.** One `u8` kind/tag column and one
@@ -65,6 +65,9 @@ pub enum StoreError {
 impl std::fmt::Display for StoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            StoreError::Wire(WireError::BadMagic) => {
+                write!(f, "not a SIESTC1 trace store (bad magic)")
+            }
             StoreError::Wire(e) => write!(f, "{e}"),
             StoreError::BadHeader(why) => write!(f, "corrupt store header: {why}"),
             StoreError::BadChunk { index, reason } => {
@@ -335,32 +338,6 @@ pub fn store_to_bytes(t: &GlobalTrace) -> Vec<u8> {
     w.finish().expect("Vec sink cannot fail")
 }
 
-/// Check whether `path` starts with the columnar-store magic.
-pub fn sniff_store(path: &Path) -> io::Result<bool> {
-    use std::io::Read;
-    let mut head = [0u8; 8];
-    let mut f = std::fs::File::open(path)?;
-    match f.read_exact(&mut head) {
-        Ok(()) => Ok(&head == STORE_MAGIC),
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Ok(false),
-        Err(e) => Err(e),
-    }
-}
-
-/// Write a whole merged trace to a store file.
-pub fn write_store(t: &GlobalTrace, path: &Path) -> io::Result<()> {
-    let file = std::fs::File::create(path)?;
-    let mut w = io::BufWriter::new(file);
-    let mut sw = StoreWriter::new(&mut w, t.nranks, t.merge_rounds, t.raw_bytes, &t.table)?;
-    for (rank, seq) in t.seqs.iter().enumerate() {
-        for chunk in seq.chunks(DEFAULT_CHUNK_IDS) {
-            sw.append_chunk(rank as u32, chunk)?;
-        }
-    }
-    sw.finish()?;
-    w.flush()
-}
-
 // ---------------------------------------------------------------------
 // Reader
 // ---------------------------------------------------------------------
@@ -409,11 +386,11 @@ impl TraceStore {
 
     fn parse(backing: Backing) -> Result<TraceStore, StoreError> {
         let b = backing.bytes();
+        if b.get(..8) != Some(&STORE_MAGIC[..]) {
+            return Err(StoreError::Wire(WireError::BadMagic));
+        }
         if b.len() < HEADER_BYTES + FOOTER_BYTES {
             return Err(StoreError::BadHeader("file shorter than header + footer"));
-        }
-        if &b[..8] != STORE_MAGIC {
-            return Err(StoreError::Wire(WireError::BadMagic));
         }
         let mut r = Reader::new(&b[8..HEADER_BYTES]);
         let version = r.u32().expect("sized above");
@@ -663,7 +640,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("siesta-store-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("sample.siestatrace");
-        write_store(&t, &path).expect("write");
+        std::fs::write(&path, store_to_bytes(&t)).expect("write");
         let store = TraceStore::open(&path).expect("open");
         assert_eq!(store.seq(0), t.seqs[0]);
         assert_eq!(store.seq(2), t.seqs[2]);

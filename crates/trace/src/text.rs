@@ -125,33 +125,22 @@ pub fn render(trace: &GlobalTrace) -> String {
 mod tests {
     use super::*;
     use crate::event::ComputeStats;
-    use crate::recorder::RankTraceData;
-    use crate::recorder::Trace;
     use siesta_perfmodel::CounterVec;
 
     #[test]
     fn renders_table_and_sequences() {
-        let trace = Trace {
+        let global = GlobalTrace {
             nranks: 2,
-            ranks: vec![
-                RankTraceData {
-                    table: vec![
-                        EventRecord::Comm(CommEvent::Allreduce { comm: 0, bytes: 64 }),
-                        EventRecord::Compute(ComputeStats::new(CounterVec::new(
-                            1e6, 2e6, 3e5, 1e4, 1e4, 100.0,
-                        ))),
-                    ],
-                    seq: vec![1, 0, 1, 0],
-                    raw_bytes: 100,
-                },
-                RankTraceData {
-                    table: vec![EventRecord::Comm(CommEvent::Allreduce { comm: 0, bytes: 64 })],
-                    seq: vec![0, 0],
-                    raw_bytes: 50,
-                },
+            table: vec![
+                EventRecord::Comm(CommEvent::Allreduce { comm: 0, bytes: 64 }),
+                EventRecord::Compute(ComputeStats::new(CounterVec::new(
+                    1e6, 2e6, 3e5, 1e4, 1e4, 100.0,
+                ))),
             ],
+            seqs: vec![vec![1, 0, 1, 0], vec![0, 0]],
+            raw_bytes: 150,
+            merge_rounds: 1,
         };
-        let global = crate::merge::merge_tables(trace);
         let text = render(&global);
         assert!(text.contains("Allreduce  bytes=64"));
         assert!(text.contains("Compute"));

@@ -1,18 +1,18 @@
-//! Binary wire codec for trace data (`.siestatrace` files) and the shared
-//! primitives other crates' formats build on.
+//! Little-endian byte primitives and the communication-event codec that
+//! Siesta's binary formats (the columnar trace store, the proxy artifact)
+//! build on, plus [`load_trace`].
 //!
 //! The paper's workflow separates *collection* (PMPI tracing on the
 //! production system) from *processing* (merging, grammar extraction,
-//! synthesis — possibly offline). Persisting the merged [`GlobalTrace`]
-//! makes that split real: `siesta trace --out app.siestatrace` on one
-//! machine, `siesta synthesize --from-trace app.siestatrace` anywhere.
+//! synthesis — possibly offline). Persisting the merged trace as a
+//! columnar store ([`crate::store`]) makes that split real:
+//! `siesta trace --out app.siestatrace` on one machine,
+//! `siesta synthesize --from-trace app.siestatrace` anywhere.
 
 use siesta_perfmodel::CounterVec;
 
-use crate::event::{CommEvent, ComputeStats, EventRecord};
+use crate::event::CommEvent;
 use crate::merge::GlobalTrace;
-
-const MAGIC: &[u8; 8] = b"SIESTR1\0";
 
 /// Decoding failure (shared by every Siesta wire format).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -362,91 +362,17 @@ pub fn get_event(r: &mut Reader) -> Result<CommEvent, WireError> {
     })
 }
 
-/// Serialize a merged trace.
-pub fn trace_to_bytes(t: &GlobalTrace) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.buf.extend_from_slice(MAGIC);
-    w.u8(1); // version
-    w.u32(t.nranks as u32);
-    w.u32(t.merge_rounds);
-    w.u64(t.raw_bytes as u64);
-    w.u32(t.table.len() as u32);
-    for rec in &t.table {
-        match rec {
-            EventRecord::Comm(e) => {
-                w.u8(0);
-                put_event(&mut w, e);
-            }
-            EventRecord::Compute(s) => {
-                w.u8(1);
-                w.counters(&s.repr);
-                w.counters(&s.sum);
-                w.u64(s.count);
-            }
-        }
-    }
-    w.u32(t.seqs.len() as u32);
-    for seq in &t.seqs {
-        w.u32s(seq);
-    }
-    w.buf
-}
-
-/// Deserialize a merged trace.
-pub fn trace_from_bytes(bytes: &[u8]) -> Result<GlobalTrace, WireError> {
-    let mut r = Reader::new(bytes);
-    if r.take(8)? != MAGIC {
-        return Err(WireError::BadMagic);
-    }
-    let version = r.u8()?;
-    if version != 1 {
-        return Err(WireError::UnsupportedVersion(version));
-    }
-    let nranks = r.u32()? as usize;
-    let merge_rounds = r.u32()?;
-    let raw_bytes = r.u64()? as usize;
-    let n_table = r.u32()? as usize;
-    let mut table = Vec::with_capacity(n_table);
-    for _ in 0..n_table {
-        match r.u8()? {
-            0 => table.push(EventRecord::Comm(get_event(&mut r)?)),
-            1 => {
-                let repr = r.counters()?;
-                let sum = r.counters()?;
-                let count = r.u64()?;
-                table.push(EventRecord::Compute(ComputeStats { repr, sum, count }));
-            }
-            t => return Err(WireError::BadTag(t)),
-        }
-    }
-    let n_seqs = r.u32()? as usize;
-    let mut seqs = Vec::with_capacity(n_seqs);
-    for _ in 0..n_seqs {
-        seqs.push(r.u32s()?);
-    }
-    Ok(GlobalTrace { nranks, table, seqs, raw_bytes, merge_rounds })
-}
-
-/// Save a merged trace to a file in the columnar store format
-/// ([`crate::store`]). [`load_trace`] reads both formats.
-pub fn save_trace(t: &GlobalTrace, path: &std::path::Path) -> std::io::Result<()> {
-    crate::store::write_store(t, path)
-}
-
-/// Load a merged trace from a file, auto-detecting the format by magic:
-/// the columnar store (`SIESTC1`) or the legacy row codec (`SIESTR1`).
+/// Load a merged trace from a columnar store file (`SIESTC1`). Any other
+/// file — including the retired row-codec format — is rejected with an
+/// error naming the expected format.
 pub fn load_trace(path: &std::path::Path) -> Result<GlobalTrace, Box<dyn std::error::Error>> {
-    if crate::store::sniff_store(path)? {
-        let store = crate::store::TraceStore::open(path)?;
-        return Ok(store.to_global_trace()?);
-    }
-    let bytes = std::fs::read(path)?;
-    Ok(trace_from_bytes(&bytes)?)
+    Ok(crate::store::TraceStore::open(path)?.to_global_trace()?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::{ComputeStats, EventRecord};
 
     fn sample() -> GlobalTrace {
         GlobalTrace {
@@ -474,11 +400,19 @@ mod tests {
         }
     }
 
+    fn temp_file(tag: &str, bytes: &[u8]) -> std::path::PathBuf {
+        let path = std::env::temp_dir()
+            .join(format!("siesta-wire-{tag}-{}.siestatrace", std::process::id()));
+        std::fs::write(&path, bytes).expect("write");
+        path
+    }
+
     #[test]
     fn trace_round_trips() {
         let t = sample();
-        let bytes = trace_to_bytes(&t);
-        let u = trace_from_bytes(&bytes).expect("decode");
+        let path = temp_file("round-trip", &crate::store::store_to_bytes(&t));
+        let u = load_trace(&path).expect("decode");
+        std::fs::remove_file(&path).ok();
         assert_eq!(t.nranks, u.nranks);
         assert_eq!(t.merge_rounds, u.merge_rounds);
         assert_eq!(t.raw_bytes, u.raw_bytes);
@@ -488,13 +422,18 @@ mod tests {
 
     #[test]
     fn rejects_wrong_magic_and_truncation() {
-        assert!(matches!(
-            trace_from_bytes(b"SIESTA1\0garbage"),
-            Err(WireError::BadMagic)
-        ));
-        let bytes = trace_to_bytes(&sample());
+        // A foreign file, short or long, names the expected store format.
+        for (tag, bytes) in [("short", &b"SIESTA1\0garbage"[..]), ("long", &[7u8; 256][..])] {
+            let path = temp_file(tag, bytes);
+            let err = load_trace(&path).expect_err("foreign file").to_string();
+            std::fs::remove_file(&path).ok();
+            assert!(err.contains("SIESTC1"), "{tag}: {err}");
+        }
+        let bytes = crate::store::store_to_bytes(&sample());
         for cut in [0usize, 8, 9, bytes.len() - 2] {
-            assert!(trace_from_bytes(&bytes[..cut]).is_err());
+            let path = temp_file("cut", &bytes[..cut]);
+            assert!(load_trace(&path).is_err(), "cut {cut}");
+            std::fs::remove_file(&path).ok();
         }
     }
 }

@@ -6,7 +6,7 @@ use siesta_codegen::replay;
 use siesta_core::{Siesta, SiestaConfig};
 use siesta_perfmodel::{platform_a, Machine, MpiFlavor};
 use siesta_proxy::{Minime, ProxySearcher};
-use siesta_trace::{merge_tables, EventRecord};
+use siesta_trace::EventRecord;
 use siesta_workloads::{ProblemSize, Program};
 
 fn machine() -> Machine {
@@ -76,8 +76,8 @@ fn siesta_beats_minime_on_event_sequences() {
     let mut minime_err = 0.0;
     for program in [Program::Bt, Program::Cg, Program::Mg] {
         let (trace, _) =
-            siesta.trace_run(m, 16, move |r| program.body(ProblemSize::Tiny)(r));
-        let global = merge_tables(trace);
+            siesta.trace_run_streamed(m, 16, move |r| program.body(ProblemSize::Tiny)(r));
+        let global = siesta.merge_streamed(trace).to_global_trace();
         let mut occurrences = vec![0u64; global.table.len()];
         for seq in &global.seqs {
             for &id in seq {

@@ -1,19 +1,21 @@
-//! Differential oracle for the two trace-ingest modes: streaming (interned
-//! event ids feed each rank's online Sequitur as calls complete; flat id
-//! sequences never materialize) and materialized (record everything, then
-//! batch Sequitur) must produce **byte-identical** artifacts.
+//! Differential oracle for the two trace front ends: the live one (interned
+//! event ids feed each rank's online Sequitur as calls complete; the table
+//! merge lifts those grammars to global ids by relabeling) and the offline
+//! one (`synthesize_global`: expand every rank's merged sequence, then
+//! batch-rebuild each grammar with Sequitur) must produce **byte-identical**
+//! artifacts.
 //!
-//! The modes share the simulator and the synthesis back half but nothing
-//! in between: one relabels grammars built online through composed table
-//! remaps (memoizing on a running content hash), the other rewrites whole
-//! sequences and re-runs Sequitur per rank. If grammar construction,
-//! table-merge remapping, memoization order, or store chunking depended on
-//! ingest mode anywhere, these runs would diverge. Every comparison covers
-//! the full pipeline — proxy wire bytes, emitted C, the columnar trace
-//! store, the synthesis report, traced run stats with the event-schedule
-//! hash — on all nine paper workloads, across pool widths 1/2/8, grammar
-//! memoization on/off, and stream buffer sizes down to the flush-heavy
-//! minimum.
+//! The front ends share the simulator, the recorder, and the synthesis back
+//! half but nothing in between: one relabels grammars built online through
+//! composed table remaps (memoizing on a running content hash), the other
+//! re-runs Sequitur per unique materialized sequence. If grammar
+//! construction, table-merge remapping, memoization order, or flush
+//! cadence leaked into the output anywhere, these runs would diverge. Every
+//! comparison covers the full pipeline — proxy wire bytes, emitted C, the
+//! columnar trace store, the synthesis report, traced run stats with the
+//! event-schedule hash — on all nine paper workloads, across pool widths
+//! 1/2/8, grammar memoization on/off, and stream buffers from the
+//! flush-heavy minimum to `stream: false` (the largest buffer).
 //!
 //! ```sh
 //! cargo test -p siesta-bench --test differential_engine
@@ -23,7 +25,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use siesta_codegen::{emit_c, wire};
-use siesta_core::{Siesta, SiestaConfig};
+use siesta_core::{Siesta, SiestaConfig, Synthesis};
 use siesta_perfmodel::{platform_a, Machine, MpiFlavor};
 use siesta_trace::TraceConfig;
 use siesta_workloads::{ProblemSize, Program};
@@ -49,36 +51,33 @@ struct Output {
 
 static STORE_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// Write the columnar store the way each mode's production path does —
-/// rank-at-a-time grammar expansion when streaming, whole-trace otherwise
-/// — and return the file's bytes.
-fn store_file<F: FnOnce(&std::path::Path) -> std::io::Result<()>>(write: F) -> Vec<u8> {
+/// Write the columnar store rank at a time from the merged grammars, the
+/// way `siesta trace --out` does, and return the file's bytes.
+fn store_file(sg: &siesta_trace::StreamedGlobal) -> Vec<u8> {
     let path = std::env::temp_dir().join(format!(
         "siesta-diff-{}-{}.siestatrace",
         std::process::id(),
         STORE_SEQ.fetch_add(1, Ordering::Relaxed)
     ));
-    write(&path).expect("store write");
+    sg.write_store(&path).expect("store write");
     let bytes = std::fs::read(&path).expect("store read-back");
     std::fs::remove_file(&path).ok();
     bytes
 }
 
-fn synthesize(stream: bool, width: usize, program: Program, mut config: SiestaConfig) -> Output {
-    config.stream = stream;
+/// One traced run, synthesized through the online lift (`offline: false`)
+/// or through the offline expand-and-rebuild path (`offline: true`).
+fn synthesize(offline: bool, width: usize, program: Program, config: SiestaConfig) -> Output {
     siesta_par::with_threads(width, || {
         let siesta = Siesta::new(config);
-        let body = program.body(ProblemSize::Tiny);
-        let (synthesis, traced, store_bytes) = if stream {
-            let (st, traced) = siesta.trace_run_streamed(machine(), NPROCS, body);
-            let sg = siesta.merge_streamed(st);
-            let store_bytes = store_file(|p| sg.write_store(p));
-            (siesta.synthesize_streamed_global(sg, &machine()), traced, store_bytes)
+        let (st, traced) =
+            siesta.trace_run_streamed(machine(), NPROCS, program.body(ProblemSize::Tiny));
+        let sg = siesta.merge_streamed(st);
+        let store_bytes = store_file(&sg);
+        let synthesis: Synthesis = if offline {
+            siesta.synthesize_global(sg.to_global_trace(), &machine())
         } else {
-            let (trace, traced) = siesta.trace_run(machine(), NPROCS, body);
-            let global = siesta.merge_trace(trace);
-            let store_bytes = store_file(|p| siesta_trace::save_trace(&global, p));
-            (siesta.synthesize_global(global, &machine()), traced, store_bytes)
+            siesta.synthesize_streamed_global(sg, &machine())
         };
         Output {
             wire_bytes: wire::to_bytes(&synthesis.program),
@@ -92,6 +91,11 @@ fn synthesize(stream: bool, width: usize, program: Program, mut config: SiestaCo
             stats: format!("{:?} hash={:016x}", traced, traced.schedule_hash()),
         }
     })
+}
+
+/// The reference: width 1, default config, offline expand-and-rebuild.
+fn baseline(program: Program) -> Output {
+    synthesize(true, 1, program, SiestaConfig::default())
 }
 
 fn assert_same(program: Program, label: &str, got: &Output, baseline: &Output) {
@@ -110,10 +114,10 @@ fn assert_same(program: Program, label: &str, got: &Output, baseline: &Output) {
 fn streaming_matches_materialized_on_every_workload() {
     let _g = WIDTH_LOCK.lock().unwrap();
     for program in Program::ALL {
-        let baseline = synthesize(false, 1, program, SiestaConfig::default());
+        let baseline = baseline(program);
         for &width in &WIDTHS {
-            let got = synthesize(true, width, program, SiestaConfig::default());
-            assert_same(program, &format!("streaming, {width} threads"), &got, &baseline);
+            let got = synthesize(false, width, program, SiestaConfig::default());
+            assert_same(program, &format!("online lift, {width} threads"), &got, &baseline);
         }
     }
 }
@@ -128,15 +132,20 @@ fn memo_and_buffer_toggles_agree_across_modes() {
         trace: TraceConfig { stream_buf: 16, ..TraceConfig::default() },
         ..SiestaConfig::default()
     };
+    // `stream: false` buffers up to the largest accepted size: no rank of
+    // these workloads ever flushes before the finish.
+    let max_buf = SiestaConfig { stream: false, ..SiestaConfig::default() };
     for program in Program::ALL {
-        let baseline = synthesize(false, 1, program, SiestaConfig::default());
-        for (stream, width, config, label) in [
-            (true, 2, memo_off, "streaming, no-memo, 2 threads"),
-            (true, 8, tiny_buf, "streaming, 16-id buffer, 8 threads"),
-            (false, 2, memo_off, "materialized, no-memo, 2 threads"),
-            (true, 1, memo_off, "streaming, no-memo, 1 thread"),
+        let baseline = baseline(program);
+        for (offline, width, config, label) in [
+            (false, 2, memo_off, "online lift, no-memo, 2 threads"),
+            (false, 1, memo_off, "online lift, no-memo, 1 thread"),
+            (false, 8, tiny_buf, "online lift, 16-id buffer, 8 threads"),
+            (false, 2, max_buf, "online lift, stream: false, 2 threads"),
+            (true, 2, memo_off, "offline rebuild, no-memo, 2 threads"),
+            (true, 8, tiny_buf, "offline rebuild, 16-id buffer, 8 threads"),
         ] {
-            let got = synthesize(stream, width, program, config);
+            let got = synthesize(offline, width, program, config);
             assert_same(program, label, &got, &baseline);
         }
     }
@@ -145,11 +154,11 @@ fn memo_and_buffer_toggles_agree_across_modes() {
 #[test]
 fn streamed_store_feeds_offline_synthesis() {
     let _g = WIDTH_LOCK.lock().unwrap();
-    // The offline workflow across modes: a store written rank-at-a-time by
-    // the streaming path, loaded back through the zero-copy reader, must
-    // synthesize to the same proxy as the live streaming run.
+    // The offline workflow: a store written rank-at-a-time by the live
+    // path, loaded back through the zero-copy reader, must synthesize to
+    // the same proxy as the live run.
     for program in [Program::Sweep3d, Program::Is] {
-        let live = synthesize(true, 2, program, SiestaConfig::default());
+        let live = synthesize(false, 2, program, SiestaConfig::default());
         let path = std::env::temp_dir().join(format!(
             "siesta-diff-offline-{}-{}.siestatrace",
             std::process::id(),

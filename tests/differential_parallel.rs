@@ -139,10 +139,10 @@ fn merged_trace_is_bit_identical_across_thread_counts() {
         let trace_at = |width: usize| {
             siesta_par::with_threads(width, || {
                 let siesta = Siesta::new(SiestaConfig::default());
-                let (trace, _) = siesta.trace_run(machine(), nranks, move |r| {
+                let (trace, _) = siesta.trace_run_streamed(machine(), nranks, move |r| {
                     Program::Sweep3d.body(ProblemSize::Tiny)(r)
                 });
-                siesta_trace::trace_to_bytes(&siesta_trace::merge_tables(trace))
+                siesta_trace::store_to_bytes(&siesta.merge_streamed(trace).to_global_trace())
             })
         };
         let baseline = trace_at(WIDTHS[0]);

@@ -18,7 +18,7 @@ use std::path::{Path, PathBuf};
 use siesta_codegen::emit_c;
 use siesta_core::{Siesta, SiestaConfig};
 use siesta_perfmodel::{platform_a, Machine, MpiFlavor};
-use siesta_trace::{text, trace_from_bytes, trace_to_bytes, GlobalTrace};
+use siesta_trace::{load_trace, store_to_bytes, text, GlobalTrace};
 use siesta_workloads::{ProblemSize, Program};
 
 fn fixtures_dir() -> PathBuf {
@@ -41,8 +41,8 @@ fn record(program: Program, nranks: usize) -> GlobalTrace {
     let machine = Machine::new(platform_a(), MpiFlavor::OpenMpi);
     let siesta = Siesta::new(SiestaConfig::default());
     let (trace, _) =
-        siesta.trace_run(machine, nranks, move |r| program.body(ProblemSize::Tiny)(r));
-    siesta_trace::merge_tables(trace)
+        siesta.trace_run_streamed(machine, nranks, move |r| program.body(ProblemSize::Tiny)(r));
+    siesta.merge_streamed(trace).to_global_trace()
 }
 
 /// The snapshot of a synthesis that must stay stable: structure counts
@@ -165,7 +165,7 @@ fn recorded_traces_match_golden() {
         let global = record(program, nranks);
         check_or_update(
             &dir.join(format!("{name}.trace.bin")),
-            &trace_to_bytes(&global),
+            &store_to_bytes(&global),
             &format!("{name}: recorded trace bytes"),
         );
         check_or_update(
@@ -187,17 +187,16 @@ fn synthesis_from_checked_in_traces_matches_golden() {
         let trace_path = dir.join(format!("{name}.trace.bin"));
         let global = if updating() {
             let g = record(program, nranks);
-            std::fs::write(&trace_path, trace_to_bytes(&g)).unwrap();
+            std::fs::write(&trace_path, store_to_bytes(&g)).unwrap();
             g
         } else {
-            let bytes = std::fs::read(&trace_path).unwrap_or_else(|e| {
+            load_trace(&trace_path).unwrap_or_else(|e| {
                 panic!(
                     "{}: {e}\nrun UPDATE_GOLDEN=1 cargo test -p siesta-bench --test \
                      golden_fixtures first",
                     trace_path.display()
                 )
-            });
-            trace_from_bytes(&bytes).expect("checked-in trace parses")
+            })
         };
         let synthesis = Siesta::new(SiestaConfig::default()).synthesize_global(global, &machine);
         check_or_update(

@@ -24,11 +24,10 @@ fn every_program_replays_its_comm_stream_losslessly() {
         let n = nprocs_for(program);
         let siesta = Siesta::new(SiestaConfig::default());
         let (trace, _) =
-            siesta.trace_run(m, n, move |r| program.body(ProblemSize::Tiny)(r));
-        let global = siesta_trace::merge_tables(trace);
-        let (trace2, _) =
-            siesta.trace_run(m, n, move |r| program.body(ProblemSize::Tiny)(r));
-        let synthesis = siesta.synthesize(trace2, &m);
+            siesta.trace_run_streamed(m, n, move |r| program.body(ProblemSize::Tiny)(r));
+        let sg = siesta.merge_streamed(trace);
+        let global = sg.to_global_trace();
+        let synthesis = siesta.synthesize_streamed_global(sg, &m);
         for rank in 0..n as u32 {
             assert_eq!(
                 synthesis.program.expand_for_rank(rank),
@@ -137,10 +136,11 @@ fn out_of_sample_lu_goes_through_the_whole_pipeline() {
     let n = 9;
     let original = program.run(m, n, ProblemSize::Tiny);
     let siesta = Siesta::new(SiestaConfig::default());
-    let (trace, _) = siesta.trace_run(m, n, move |r| program.body(ProblemSize::Tiny)(r));
-    let global = siesta_trace::merge_tables(trace);
-    let (trace2, _) = siesta.trace_run(m, n, move |r| program.body(ProblemSize::Tiny)(r));
-    let synthesis = siesta.synthesize(trace2, &m);
+    let (trace, _) =
+        siesta.trace_run_streamed(m, n, move |r| program.body(ProblemSize::Tiny)(r));
+    let sg = siesta.merge_streamed(trace);
+    let global = sg.to_global_trace();
+    let synthesis = siesta.synthesize_streamed_global(sg, &m);
     for rank in 0..n as u32 {
         assert_eq!(
             synthesis.program.expand_for_rank(rank),

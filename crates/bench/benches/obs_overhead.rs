@@ -181,7 +181,7 @@ fn main() {
             t0.elapsed().as_secs_f64()
         };
         let profiled = || {
-            let prof = SimProfiler::new(ranks, 0);
+            let prof = SimProfiler::new(ranks);
             let hook: Arc<dyn PmpiHook> = prof.clone();
             let t0 = Instant::now();
             let stats = World::new(sim_machine, ranks)

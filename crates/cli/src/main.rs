@@ -126,8 +126,6 @@ ENVIRONMENT:
     SIESTA_OBS_CAP          default --obs-cap
     SIESTA_OBS_CANONICAL=1  timing-free canonical trace/report output
                             (byte-identical at any --threads width)
-    SIESTA_SIM_EVT_CAP      bound --sim-profile to n events per rank (ring
-                            buffer, exact dropped count; default unbounded)
     SIESTA_STREAM_BUF       default --stream-buf (event ids per rank)
 ";
 
@@ -734,24 +732,10 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
     // Any observability collection (virtual-time profile, comm matrix,
     // wall-clock spans) turns on the PMPI hook chain for the sweep; an
     // unobserved sweep stays hook-free (the fastest path).
-    let instrument = siesta_mpisim::sim_profile_enabled()
-        || siesta_mpisim::comm_matrix_enabled()
-        || siesta_obs::profiling_enabled();
     for &n in &counts {
         // Fresh per count: collectors are sized to their world. A
         // multi-count sweep keeps the last count's profile snapshot.
-        let hook: Option<std::sync::Arc<dyn siesta_mpisim::PmpiHook>> = instrument.then(|| {
-            let mut hooks: Vec<std::sync::Arc<dyn siesta_mpisim::PmpiHook>> =
-                vec![std::sync::Arc::new(siesta_mpisim::ObsHook::new(n))];
-            if siesta_mpisim::sim_profile_enabled() {
-                hooks.push(siesta_mpisim::SimProfiler::install(n));
-            }
-            if hooks.len() == 1 {
-                hooks.pop().unwrap()
-            } else {
-                std::sync::Arc::new(siesta_mpisim::FanoutHook::new(hooks))
-            }
-        });
+        let hook = siesta_mpisim::with_observers(None, n);
         let t0 = std::time::Instant::now();
         let stats = match (program, &hook) {
             (Some(p), Some(h)) => p.run_hooked(machine, n, size, h.clone()),

@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use siesta_codegen::{ProxyProgram, TerminalOp};
 use siesta_grammar::{build_rank_grammars, merge_grammars, Grammar, MergeConfig};
-use siesta_mpisim::{FanoutHook, ObsHook, PmpiHook, Rank, RankFut, RunStats, World};
+use siesta_mpisim::{Rank, RankFut, RunStats, World};
 use siesta_obs::{histogram, profiling_enabled, span};
 use siesta_perfmodel::Machine;
 use siesta_proxy::{shrink_counters, CommShrink, ProxySearcher, BLOCKS_C_SOURCE};
@@ -133,20 +133,8 @@ impl Siesta {
         // With profiling (or comm-matrix / virtual-time-profile
         // collection) on, stack the observers under the recorder the way
         // PMPI tools chain; otherwise install the recorder alone.
-        let sim_profile = siesta_mpisim::sim_profile_enabled();
-        let hook: Arc<dyn PmpiHook> = if profiling_enabled()
-            || siesta_mpisim::comm_matrix_enabled()
-            || sim_profile
-        {
-            let mut hooks: Vec<Arc<dyn PmpiHook>> =
-                vec![recorder.clone(), Arc::new(ObsHook::new(nranks))];
-            if sim_profile {
-                hooks.push(siesta_mpisim::SimProfiler::install(nranks));
-            }
-            Arc::new(FanoutHook::new(hooks))
-        } else {
-            recorder.clone()
-        };
+        let hook = siesta_mpisim::with_observers(Some(recorder.clone()), nranks)
+            .expect("a base hook is always returned");
         let stats = World::new(machine, nranks).with_hook(hook).run(body);
         (recorder.finish_streamed(), stats)
     }

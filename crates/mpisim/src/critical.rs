@@ -27,9 +27,8 @@
 //!   time `t0`).
 //! * **Unmatchable events are counted, never guessed.** Non-world
 //!   point-to-point (no global peer in the PMPI view), wildcard-tag
-//!   receives, `Waitall` request-list overflow, and ring-dropped
-//!   history all fall back to the rank's own program order and bump
-//!   `unmatched`.
+//!   receives and `Waitall` request-list overflow all fall back to the
+//!   rank's own program order and bump `unmatched`.
 //!
 //! The walk chooses a remote predecessor only when the event actually
 //! *blocked* (`wait_ns > 0`); a call satisfied locally depends only on
@@ -101,8 +100,8 @@ pub struct CriticalPathReport {
     /// Per-class totals along the path, heaviest first.
     pub class_totals: Vec<PathClassTotal>,
     /// Blocked events whose remote producer could not be reconstructed
-    /// (non-world peers, wildcard tags, overflowed request lists,
-    /// ring-dropped history); they fell back to program order.
+    /// (non-world peers, wildcard tags, overflowed request lists); they
+    /// fell back to program order.
     pub unmatched: u64,
     /// The backward walk revisited a node (possible only through
     /// fallback edges on partial profiles) and stopped early.
@@ -126,9 +125,9 @@ enum Pending {
     Isend,
 }
 
-/// Extract the critical path from a recorded profile. Works on partial
-/// (ring-capped) profiles — missing history shows up as `unmatched` and
-/// possibly `truncated`, never as a wrong edge.
+/// Extract the critical path from a recorded profile. Events that cannot
+/// be matched show up as `unmatched` (and possibly `truncated`), never as
+/// a wrong edge.
 pub fn critical_path(snap: &SimProfileSnapshot) -> CriticalPathReport {
     let tracks = &snap.tracks;
 
@@ -150,10 +149,7 @@ pub fn critical_path(snap: &SimProfileSnapshot) -> CriticalPathReport {
     for (rank, track) in tracks.iter().enumerate() {
         let mut coll_ord: FxHashMap<u64, u64> = fx_map();
         let mut pending: FxHashMap<u32, Pending> = fx_map();
-        // Ring-dropped history means request ids and stream ordinals from
-        // before the window are unknown; count the loss once per rank.
-        unmatched += track.dropped.min(1);
-        for (idx, ev) in track.events.iter().enumerate() {
+        for (idx, ev) in track.iter().enumerate() {
             let class = ev.class;
             if is_collective(class) {
                 let ord = coll_ord.entry(ev.comm).or_insert(0);
@@ -242,7 +238,7 @@ pub fn critical_path(snap: &SimProfileSnapshot) -> CriticalPathReport {
     // remote_pred[v] = the send node whose message v's wait consumed; a
     // Waitall retiring several receives keeps the latest-finishing send.
     let mut remote_pred: FxHashMap<(usize, usize), (usize, usize)> = fx_map();
-    let event = |node: (usize, usize)| -> &SimEvent { &tracks[node.0].events[node.1] };
+    let event = |node: (usize, usize)| -> &SimEvent { &tracks[node.0][node.1] };
     for (key, sends) in &send_q {
         let posts = recv_q.get(key).map(Vec::as_slice).unwrap_or(&[]);
         if sends.len() != posts.len() {
@@ -282,8 +278,8 @@ pub fn critical_path(snap: &SimProfileSnapshot) -> CriticalPathReport {
     let mut cur: Option<(usize, usize)> = {
         let mut best: Option<((usize, usize), f64)> = None;
         for (rank, track) in tracks.iter().enumerate() {
-            if let Some(ev) = track.events.last() {
-                let node = (rank, track.events.len() - 1);
+            if let Some(ev) = track.last() {
+                let node = (rank, track.len() - 1);
                 if best.is_none_or(|(_, t)| ev.t1 > t) {
                     best = Some((node, ev.t1));
                 }
@@ -321,7 +317,7 @@ pub fn critical_path(snap: &SimProfileSnapshot) -> CriticalPathReport {
                 Some(producer)
             } else if is_collective(ev.class) {
                 // Hop to the last-arriving member of the same instance.
-                let ord = tracks[node.0].events[..node.1]
+                let ord = tracks[node.0][..node.1]
                     .iter()
                     .filter(|e| is_collective(e.class) && e.comm == ev.comm)
                     .count() as u64;
@@ -387,9 +383,9 @@ pub fn critical_path(snap: &SimProfileSnapshot) -> CriticalPathReport {
         .iter()
         .enumerate()
         .map(|(rank, track)| {
-            let mpi: f64 = track.events.iter().map(|e| e.t1 - e.t0).sum();
-            let wait: f64 = track.events.iter().map(|e| e.wait_ns as f64).sum();
-            let last_t1 = track.events.last().map_or(0.0, |e| e.t1);
+            let mpi: f64 = track.iter().map(|e| e.t1 - e.t0).sum();
+            let wait: f64 = track.iter().map(|e| e.wait_ns as f64).sum();
+            let last_t1 = track.last().map_or(0.0, |e| e.t1);
             RankBreakdown { rank, mpi_ns: mpi, wait_ns: wait, other_ns: last_t1 - mpi, last_t1 }
         })
         .collect();

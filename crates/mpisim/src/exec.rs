@@ -70,7 +70,8 @@ const DONE: u8 = 3;
 struct ExecShared {
     status: Vec<AtomicU8>,
     /// Set when a wake arrives while the rank is mid-poll; the poller
-    /// re-queues the rank after storing `IDLE` so the wake is not lost.
+    /// re-queues the rank after storing `IDLE` so the wake is not lost
+    /// (both sides use `SeqCst`; see `wake_rank`).
     pending: Vec<AtomicBool>,
     /// Ranks runnable in the next batch. Drained, sorted, and polled as
     /// one `run_tasks` region per scheduling round.
@@ -114,11 +115,18 @@ impl ExecShared {
                     // Lost the race with another waker or the poller; retry.
                 }
                 RUNNING => {
-                    self.pending[rank].store(true, Ordering::Release);
+                    // Store-buffering handshake with the poller (it stores
+                    // IDLE, then swaps `pending`): each side stores, then
+                    // reads the other's word. `SeqCst` on all four
+                    // operations forbids both reads seeing the old value;
+                    // under release/acquire the wake could be lost,
+                    // leaving every rank IDLE with one `pending` set (a
+                    // false deadlock).
+                    self.pending[rank].store(true, Ordering::SeqCst);
                     // The poller may have stored IDLE just before our flag
                     // landed; re-check, and if it already consumed the flag
                     // someone queued the rank for us.
-                    if self.status[rank].load(Ordering::Acquire) == RUNNING {
+                    if self.status[rank].load(Ordering::SeqCst) == RUNNING {
                         return;
                     }
                     if !self.pending[rank].swap(false, Ordering::AcqRel) {
@@ -213,10 +221,12 @@ pub(crate) fn run_event<'env, T: Send>(
                     true
                 }
                 Poll::Pending => {
-                    exec.status[rank].store(IDLE, Ordering::Release);
+                    // `SeqCst` pairs with the waker's store-then-load of
+                    // `pending`/`status` (see `ExecShared::wake_rank`).
+                    exec.status[rank].store(IDLE, Ordering::SeqCst);
                     // A wake that landed mid-poll parked itself in
                     // `pending`; convert it into a queue entry now.
-                    if exec.pending[rank].swap(false, Ordering::AcqRel)
+                    if exec.pending[rank].swap(false, Ordering::SeqCst)
                         && exec.status[rank]
                             .compare_exchange(IDLE, QUEUED, Ordering::AcqRel, Ordering::Acquire)
                             .is_ok()

@@ -91,7 +91,7 @@ pub use comm_matrix::{
 pub use critical::{critical_path, CriticalPathReport, PathStep, RankBreakdown};
 pub use hook::{HookCtx, MpiCall, PmpiHook};
 pub use message::{RecvStatus, Tag, ANY_TAG};
-pub use obs::{FanoutHook, ObsHook};
+pub use obs::{with_observers, FanoutHook, ObsHook};
 pub use profiler::{
     set_sim_profile_enabled, sim_profile_enabled, take_sim_profile, SimEvent, SimProfileSnapshot,
     SimProfiler,

@@ -9,6 +9,7 @@ use siesta_obs::metrics::{counter, histogram, Counter, Histogram};
 
 use crate::comm_matrix;
 use crate::hook::{HookCtx, MpiCall, PmpiHook, NUM_CALL_CLASSES};
+use crate::profiler::SimProfiler;
 
 /// Broadcasts every hook event to each inner hook, in order. Per-call
 /// overhead charged to the virtual clock is the sum of the inner overheads.
@@ -37,6 +38,31 @@ impl PmpiHook for FanoutHook {
 
     fn overhead_ns(&self) -> f64 {
         self.hooks.iter().map(|h| h.overhead_ns()).sum()
+    }
+}
+
+/// Stack the observers that are switched on — [`ObsHook`] under
+/// `--profile` or `--comm-matrix`, plus a freshly installed
+/// [`SimProfiler`] under `--sim-profile` — after `base` (if any), for a
+/// world of `nranks`. Returns `base` untouched when nothing observes, so
+/// an unobserved run keeps its fastest hook chain.
+pub fn with_observers(
+    base: Option<Arc<dyn PmpiHook>>,
+    nranks: usize,
+) -> Option<Arc<dyn PmpiHook>> {
+    let sim_profile = crate::profiler::sim_profile_enabled();
+    if !(siesta_obs::profiling_enabled() || comm_matrix::comm_matrix_enabled() || sim_profile) {
+        return base;
+    }
+    let mut hooks: Vec<Arc<dyn PmpiHook>> = base.into_iter().collect();
+    hooks.push(Arc::new(ObsHook::new(nranks)));
+    if sim_profile {
+        hooks.push(SimProfiler::install(nranks));
+    }
+    if hooks.len() == 1 {
+        hooks.pop()
+    } else {
+        Some(Arc::new(FanoutHook::new(hooks)))
     }
 }
 

@@ -13,25 +13,17 @@
 //! the scheduler interleaves ranks, so consecutive events land in
 //! different rank buffers and every push is a cold miss plus a possibly
 //! migrating mutex line (measured ~150 ns/event at 4 096 ranks, blowing
-//! the <5% overhead budget). Instead the default (unbounded) mode appends
-//! to a **per-thread log** — the same single-writer chunked-buffer
-//! discipline as the span flight recorder (`siesta_obs::span`): each
-//! worker registers its own chunk list on first push and then writes
-//! lock-free, publishing each event with a release store of the chunk's
-//! committed length. The write head stays in that core's L1, so a push
-//! is two plain stores; allocation happens once per [`CHUNK`] events and
-//! sealed chunks never move. Program order per rank is preserved by
+//! the <5% overhead budget). Instead events append to the calling
+//! worker's chain in a [`siesta_obs::chunk_log::ChunkLog`] — the same
+//! per-thread event log the span flight recorder uses: the write head
+//! stays in that core's L1, so a push is a plain store plus a release
+//! store, and the chunks recycle through a process-wide pool, so a
+//! process that simulates more than one world pays the page faults of
+//! the event stream once. Program order per rank is preserved by
 //! [`HookCtx::call_seq`] — the rank's own hooked-call ordinal, counted in
 //! state that is already hot in the polling worker — and
 //! [`SimProfiler::snapshot`] merges the logs back into per-rank tracks by
-//! `(rank, seq)`. (Per-worker `Mutex<Vec>` shards work too, but the
-//! uncontended lock and the extra cold line per push are measurable at
-//! 64k ranks.)
-//!
-//! With `SIESTA_SIM_EVT_CAP` set, recording switches to bounded per-rank
-//! rings ([`siesta_obs::timeline::Timeline`]) that keep the newest `cap`
-//! events per rank with exact drop counts — the flight-recorder
-//! discipline; bounded memory is worth the slower scattered writes.
+//! `(rank, seq)`.
 //!
 //! The profiler charges **zero** virtual overhead — it observes the
 //! simulation without perturbing the clocks, so schedules (and
@@ -48,12 +40,10 @@
 //! installs a fresh collector per world, and the exporter takes the last
 //! snapshot after the command ran.
 
-use std::cell::{Cell, UnsafeCell};
-use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-use siesta_obs::timeline::{Timeline, TrackSnapshot};
+use siesta_obs::chunk_log::{ChunkLog, ChunkPool, LogHead};
 use siesta_obs::vtime::{self, ClassRow, VtSpan, VtTraceMeta};
 
 use crate::comm::CommId;
@@ -89,9 +79,9 @@ pub const MAX_INLINE_REQS: usize = 4;
 /// `nreqs` sentinel: the call completed more requests than fit inline.
 pub const REQS_OVERFLOW: u8 = u8::MAX;
 
-/// One recorded MPI call interval. Fixed-size and `Copy` so ring-capped
-/// tracks stay flat arrays.
-#[derive(Debug, Clone, Copy)]
+/// One recorded MPI call interval. Fixed-size and `Copy`, so the event
+/// log stores it inline.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimEvent {
     /// [`MpiCall::class_index`] of the call.
     pub class: u16,
@@ -135,284 +125,49 @@ impl SimEvent {
 /// One `(rank, call_seq, event)` record in a thread log.
 type Rec = (u32, u32, SimEvent);
 
-/// Events per storage chunk (~36 KB): big enough to amortize the
-/// allocation, small enough that freed chunks recycle through the
-/// allocator's ordinary bins across runs. Chunks — unlike one growing
-/// `Vec` — never relocate, so appending 100+ MB at 64k ranks costs no
-/// doubling memcpys and no fresh page faults on re-runs.
-const CHUNK: usize = 512;
-
-/// A fixed-capacity event chunk with a published length. Single writer
-/// (the log's owning thread) appends with `recs[len].write(...)` followed
-/// by a release store of `len + 1`; any reader that acquire-loads `len`
-/// may then read the first `len` records — the standard single-producer
-/// publish, same as the span flight recorder's committed counter.
-struct LogChunk {
-    len: AtomicUsize,
-    recs: UnsafeCell<[MaybeUninit<Rec>; CHUNK]>,
-}
-
-// SAFETY: `recs` is written only by the owning thread (guaranteed by the
-// thread-local slot protocol in `Sharded::push`), and readers only touch
-// the prefix published through the release/acquire `len`.
-unsafe impl Sync for LogChunk {}
-
-impl LogChunk {
-    fn boxed() -> Box<LogChunk> {
-        // Only `len` needs initializing: `recs` slots are `MaybeUninit`
-        // until published. Avoids materializing 36 KB on the stack.
-        let mut chunk = Box::<LogChunk>::new_uninit();
-        unsafe {
-            std::ptr::addr_of_mut!((*chunk.as_mut_ptr()).len).write(AtomicUsize::new(0));
-            chunk.assume_init()
-        }
-    }
-}
-
-/// Chunks parked by dropped profilers, recycled by later ones. At scale
-/// the dominant recording cost is not the stores but faulting fresh pages
-/// for the event stream (a 64k-rank halo run writes ~190 MB of chunks);
-/// a process that simulates more than one world — rep loops, sweeps, the
-/// overhead bench itself — would pay that fault storm per run. Parked
-/// chunks keep their pages resident, so only the first run is cold.
-static CHUNK_POOL: Mutex<Vec<Box<LogChunk>>> = Mutex::new(Vec::new());
-
-/// Upper bound on parked chunks (~300 MB): enough to cover a 64k-rank
-/// run's whole stream, small enough that a long-lived host process isn't
-/// hoarding arbitrary memory after a huge one-off simulation.
-const POOL_CAP: usize = 8192;
-
-/// A chunk from the pool if one is parked, else freshly allocated. The
-/// recycled chunk's `len` reset is safe to be relaxed: the caller is the
-/// chunk's sole writer, and readers only discover the chunk through the
-/// log mutex, which orders the reset before any of their loads.
-fn pool_get() -> Box<LogChunk> {
-    match CHUNK_POOL.lock().unwrap().pop() {
-        Some(chunk) => {
-            chunk.len.store(0, Ordering::Relaxed);
-            chunk
-        }
-        None => LogChunk::boxed(),
-    }
-}
-
-/// Park `chunks` (newest first) until the pool hits [`POOL_CAP`]; the
-/// rest free normally.
-fn pool_put(chunks: &mut Vec<Box<LogChunk>>) {
-    let mut pool = CHUNK_POOL.lock().unwrap();
-    while pool.len() < POOL_CAP {
-        match chunks.pop() {
-            Some(chunk) => pool.push(chunk),
-            None => break,
-        }
-    }
-}
-
-/// One thread's append log: sealed chunks plus the write head, all
-/// behind a registration mutex the writer takes only once per [`CHUNK`]
-/// events (and readers take to enumerate chunks).
-#[derive(Default)]
-struct ThreadLog {
-    chunks: Mutex<Vec<Box<LogChunk>>>,
-}
-
-/// Writer-side cache of where the calling thread is appending: which
-/// profiler generation the pointers belong to, plus this thread's log
-/// and its current head chunk. The head's fill level lives in the chunk
-/// itself (`LogChunk::len` — reading back one's own store is L1-hot), so
-/// the fast path never writes the TLS cell. One slot per thread: a
-/// thread interleaving pushes to two *live* profilers would re-register
-/// on every switch — the simulator never does that (one world at a time
-/// per thread), and it would only cost memory, never correctness.
-#[derive(Clone, Copy)]
-struct TlsSlot {
-    gen: u64,
-    log: *const ThreadLog,
-    head: *const LogChunk,
-}
+/// Chunks parked by dropped profilers (~300 MB at most): enough to cover
+/// a 64k-rank run's whole stream, small enough that a long-lived host
+/// process isn't hoarding arbitrary memory after a huge one-off run.
+static POOL: ChunkPool<Rec> = ChunkPool::new(8192);
 
 thread_local! {
-    static SLOT: Cell<TlsSlot> = const {
-        Cell::new(TlsSlot { gen: 0, log: std::ptr::null(), head: std::ptr::null() })
-    };
-}
-
-/// Generation ids for [`TlsSlot`] validity: every profiler instance gets
-/// a fresh one, so a stale slot can never alias a new profiler's chunks.
-static GEN: AtomicU64 = AtomicU64::new(1);
-
-// The boxes are load-bearing, not redundant heap indirection: [`TlsSlot`]
-// caches raw pointers to logs, which must not move when the registry
-// vector grows.
-#[allow(clippy::vec_box)]
-enum Store {
-    /// Default (unbounded): lock-free per-thread logs, merged into rank
-    /// tracks at snapshot time by the rank's call ordinal. See module docs.
-    Sharded { nranks: usize, gen: u64, logs: Mutex<Vec<Box<ThreadLog>>> },
-    /// `SIESTA_SIM_EVT_CAP` ring mode: bounded per-rank rings with exact
-    /// drop counts.
-    Ring(Timeline<SimEvent>),
+    static HEAD: LogHead = const { LogHead::new() };
 }
 
 /// The recording hook. Construct per world via [`SimProfiler::install`].
 pub struct SimProfiler {
-    store: Store,
+    nranks: usize,
+    log: ChunkLog<Rec>,
 }
 
 impl SimProfiler {
-    /// A free-standing profiler for `nranks` tracks keeping at most
-    /// `cap_per_track` events each (`0` = unbounded). Not registered
+    /// A free-standing profiler for `nranks` tracks. Not registered
     /// anywhere: read it back with [`SimProfiler::snapshot`].
-    pub fn new(nranks: usize, cap_per_track: usize) -> Arc<SimProfiler> {
-        let store = if cap_per_track == 0 {
-            Store::Sharded {
-                nranks,
-                gen: GEN.fetch_add(1, Ordering::Relaxed),
-                logs: Mutex::new(Vec::new()),
-            }
-        } else {
-            Store::Ring(Timeline::new(nranks, cap_per_track))
-        };
-        Arc::new(SimProfiler { store })
+    pub fn new(nranks: usize) -> Arc<SimProfiler> {
+        Arc::new(SimProfiler { nranks, log: ChunkLog::new(&POOL) })
     }
 
     /// Build a profiler for `nranks` tracks and install it as the
     /// process-global "current" collector (replacing any previous one).
-    /// Per-rank capacity comes from `SIESTA_SIM_EVT_CAP` (0/unset =
-    /// unbounded; at scale, ring mode keeps the newest events per rank
-    /// with exact drop counts).
     pub fn install(nranks: usize) -> Arc<SimProfiler> {
-        let cap = std::env::var("SIESTA_SIM_EVT_CAP")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0usize);
-        let p = Self::new(nranks, cap);
+        let p = Self::new(nranks);
         *CURRENT.lock().unwrap() = Some(p.clone());
         p
-    }
-
-    fn push(&self, rank: usize, seq: u32, ev: SimEvent) {
-        match &self.store {
-            Store::Sharded { nranks, gen, logs } => {
-                // Out-of-range ranks are ignored (never panic in the
-                // simulator's hot path).
-                if rank >= *nranks {
-                    return;
-                }
-                let mut slot = SLOT.get();
-                // SAFETY (both blocks): `slot.gen == *gen` proves
-                // `slot.head` points into this live profiler's chunk
-                // list (generations are globally unique and the boxes
-                // are stable and retained until the profiler drops), and
-                // this thread is the chunk's sole writer — the slot
-                // protocol hands each head chunk to exactly one thread,
-                // so the relaxed `len` load reads this thread's own last
-                // store. The write goes through a raw element pointer
-                // (never a reference to the whole array), so it cannot
-                // overlap `snapshot`'s reads of already-published
-                // elements; the release store then publishes the record
-                // for acquire-side readers.
-                let mut len = if slot.gen == *gen {
-                    unsafe { (*slot.head).len.load(Ordering::Relaxed) }
-                } else {
-                    CHUNK
-                };
-                if len == CHUNK {
-                    // Slow path (first push from this thread, or head
-                    // full): register / seal under the log mutex.
-                    slot = self.new_head(slot, *gen, logs);
-                    len = 0;
-                }
-                unsafe {
-                    let chunk = &*slot.head;
-                    let base: *mut MaybeUninit<Rec> = chunk.recs.get().cast();
-                    (*base.add(len)).write((rank as u32, seq, ev));
-                    chunk.len.store(len + 1, Ordering::Release);
-                }
-            }
-            Store::Ring(timeline) => timeline.push(rank, ev),
-        }
-    }
-
-    /// Slow path of the sharded push: give the calling thread a fresh
-    /// head chunk — registering its log on the first call — and return
-    /// the updated slot (already stored back to the TLS cell).
-    #[cold]
-    #[allow(clippy::vec_box)] // see `Store::Sharded`
-    fn new_head(&self, slot: TlsSlot, gen: u64, logs: &Mutex<Vec<Box<ThreadLog>>>) -> TlsSlot {
-        let log: *const ThreadLog = if slot.gen == gen {
-            // Same profiler, head just filled up: keep appending chunks
-            // to this thread's existing log.
-            slot.log
-        } else {
-            let mut reg = logs.lock().unwrap();
-            reg.push(Box::new(ThreadLog::default()));
-            &**reg.last().expect("just pushed")
-        };
-        // SAFETY: `log` came from this profiler's registry (either just
-        // pushed above, or via a slot whose generation matches), whose
-        // boxes are stable and outlive every push (`&self` keeps the
-        // profiler alive).
-        let mut chunks = unsafe { &(*log).chunks }.lock().unwrap();
-        chunks.push(pool_get());
-        let head: *const LogChunk = &**chunks.last().expect("just pushed");
-        drop(chunks);
-        let fresh = TlsSlot { gen, log, head };
-        SLOT.set(fresh);
-        fresh
     }
 
     /// Copy the recorded timelines out (tracks in rank order, events in
     /// program order).
     pub fn snapshot(&self) -> SimProfileSnapshot {
-        match &self.store {
-            Store::Sharded { nranks, logs, .. } => {
-                let mut per_rank: Vec<Vec<(u32, SimEvent)>> = vec![Vec::new(); *nranks];
-                for log in logs.lock().unwrap().iter() {
-                    for chunk in log.chunks.lock().unwrap().iter() {
-                        let n = chunk.len.load(Ordering::Acquire);
-                        let base: *const MaybeUninit<Rec> = chunk.recs.get().cast();
-                        for i in 0..n {
-                            // SAFETY: the acquire load of `len` pairs
-                            // with the writer's release store, so the
-                            // first `n` records are fully initialized;
-                            // reads go through per-element pointers that
-                            // never overlap the writer's in-flight slot.
-                            let (rank, seq, ev) = unsafe { (*base.add(i)).assume_init() };
-                            per_rank[rank as usize].push((seq, ev));
-                        }
-                    }
-                }
-                let tracks = per_rank
-                    .into_iter()
-                    .map(|mut recs| {
-                        recs.sort_unstable_by_key(|&(seq, _)| seq);
-                        TrackSnapshot {
-                            events: recs.into_iter().map(|(_, ev)| ev).collect(),
-                            dropped: 0,
-                        }
-                    })
-                    .collect();
-                SimProfileSnapshot { nranks: *nranks, tracks }
-            }
-            Store::Ring(timeline) => SimProfileSnapshot {
-                nranks: timeline.ntracks(),
-                tracks: timeline.snapshot(),
-            },
-        }
-    }
-}
-
-impl Drop for SimProfiler {
-    /// Park this profiler's chunks for reuse (see [`CHUNK_POOL`]). Stale
-    /// TLS slots pointing at parked chunks are harmless: their generation
-    /// can never match a future profiler's, so they are never followed.
-    fn drop(&mut self) {
-        if let Store::Sharded { logs, .. } = &self.store {
-            for log in logs.lock().unwrap().iter() {
-                pool_put(&mut log.chunks.lock().unwrap());
-            }
-        }
+        let mut per_rank: Vec<Vec<(u32, SimEvent)>> = vec![Vec::new(); self.nranks];
+        self.log.for_each(|(rank, seq, ev)| per_rank[rank as usize].push((seq, ev)));
+        let tracks = per_rank
+            .into_iter()
+            .map(|mut recs| {
+                recs.sort_unstable_by_key(|&(seq, _)| seq);
+                recs.into_iter().map(|(_, ev)| ev).collect()
+            })
+            .collect();
+        SimProfileSnapshot { nranks: self.nranks, tracks }
     }
 }
 
@@ -505,28 +260,26 @@ impl PmpiHook for SimProfiler {
                 ev.comm = comm.0;
             }
         }
-        self.push(ctx.rank, ctx.call_seq, ev);
+        // Out-of-range ranks are ignored (never panic in the simulator's
+        // hot path).
+        if ctx.rank < self.nranks {
+            self.log.push(&HEAD, (ctx.rank as u32, ctx.call_seq, ev));
+        }
     }
 }
 
 /// Per-rank timelines of one profiled run, in program order.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimProfileSnapshot {
     pub nranks: usize,
-    /// One track per rank: events oldest-first plus the exact ring-drop
-    /// count (0 unless `SIESTA_SIM_EVT_CAP` bounded the recording).
-    pub tracks: Vec<TrackSnapshot<SimEvent>>,
+    /// One track per rank, events in program order.
+    pub tracks: Vec<Vec<SimEvent>>,
 }
 
 impl SimProfileSnapshot {
     /// Events retained across all ranks.
     pub fn events_total(&self) -> usize {
-        self.tracks.iter().map(|t| t.events.len()).sum()
-    }
-
-    /// Events overwritten by ring-capped recording, across all ranks.
-    pub fn events_dropped(&self) -> u64 {
-        self.tracks.iter().map(|t| t.dropped).sum()
+        self.tracks.iter().map(Vec::len).sum()
     }
 
     /// Export as a Chrome trace in virtual time: one track per rank,
@@ -539,10 +292,10 @@ impl SimProfileSnapshot {
         let mut skipped = 0u64;
         for (rank, track) in self.tracks.iter().enumerate() {
             if rank % stride != 0 {
-                skipped += track.events.len() as u64;
+                skipped += track.len() as u64;
                 continue;
             }
-            for ev in &track.events {
+            for ev in track {
                 spans.push(VtSpan {
                     track: rank as u32,
                     name: MpiCall::class_name(ev.class as usize),
@@ -556,7 +309,6 @@ impl SimProfileSnapshot {
         let meta = VtTraceMeta {
             tracks_total: self.nranks,
             tracks_exported: self.nranks.div_ceil(stride),
-            events_dropped: self.events_dropped(),
             events_skipped: skipped,
         };
         vtime::chrome_trace_json(&spans, &meta)
@@ -570,7 +322,7 @@ impl SimProfileSnapshot {
         let mut wait = [0.0f64; NUM_CALL_CLASSES];
         let mut bytes = [0u64; NUM_CALL_CLASSES];
         for track in &self.tracks {
-            for ev in &track.events {
+            for ev in track {
                 let c = (ev.class as usize).min(NUM_CALL_CLASSES - 1);
                 count[c] += 1;
                 total[c] += ev.dur_ns();
@@ -590,17 +342,9 @@ impl SimProfileSnapshot {
             .collect()
     }
 
-    /// Render the wait/transfer breakdown table, with a drop-accounting
-    /// trailer when ring mode lost events.
+    /// Render the wait/transfer breakdown table.
     pub fn render_breakdown(&self) -> String {
-        let mut out = vtime::render_class_table(&self.class_breakdown());
-        let dropped = self.events_dropped();
-        if dropped > 0 {
-            out.push_str(&format!(
-                "(ring-capped: {dropped} events dropped; raise SIESTA_SIM_EVT_CAP for full coverage)\n"
-            ));
-        }
-        out
+        vtime::render_class_table(&self.class_breakdown())
     }
 }
 
@@ -649,12 +393,12 @@ mod tests {
 
         let snap = take_sim_profile().expect("installed");
         assert_eq!(snap.nranks, 2);
-        let s = &snap.tracks[0].events[0];
+        let s = &snap.tracks[0][0];
         assert_eq!((s.class, s.peer, s.tag, s.bytes), (0, 1, 7, 64));
         assert_eq!((s.t0, s.t1, s.wait_ns), (10.0, 30.0, 0.0));
-        let r = &snap.tracks[1].events[0];
+        let r = &snap.tracks[1][0];
         assert_eq!((r.class, r.peer, r.wait_ns), (1, 0, 25.0));
-        assert_eq!(snap.tracks[1].events[1].peer, NO_PEER);
+        assert_eq!(snap.tracks[1][1].peer, NO_PEER);
         assert!(take_sim_profile().is_none());
     }
 
@@ -665,10 +409,10 @@ mod tests {
         p.post(&ctx(0, 0.0, 1.0, 0.0), &MpiCall::Waitall { reqs: vec![3, 1, 2] });
         p.post(&ctx(0, 1.0, 2.0, 0.0), &MpiCall::Waitall { reqs: (0..12).collect() });
         let snap = take_sim_profile().unwrap();
-        let small = &snap.tracks[0].events[0];
+        let small = &snap.tracks[0][0];
         assert_eq!(small.nreqs, 3);
         assert_eq!(&small.reqs[..3], &[3, 1, 2]);
-        assert_eq!(snap.tracks[0].events[1].nreqs, REQS_OVERFLOW);
+        assert_eq!(snap.tracks[0][1].nreqs, REQS_OVERFLOW);
     }
 
     #[test]

@@ -25,7 +25,7 @@ fn profiled_run<F>(n: usize, body: F) -> (SimProfileSnapshot, f64)
 where
     F: Fn(Rank) -> RankFut<'static> + Send + Sync,
 {
-    let prof = SimProfiler::new(n, 0);
+    let prof = SimProfiler::new(n);
     let hook: Arc<dyn PmpiHook> = prof.clone();
     let stats = World::new(machine(), n).with_hook(hook).run(body);
     (prof.snapshot(), stats.elapsed_ns())
@@ -150,7 +150,7 @@ fn profiling_does_not_perturb_virtual_time() {
         })
     };
     let bare = World::new(machine(), 4).run(body);
-    let prof = SimProfiler::new(4, 0);
+    let prof = SimProfiler::new(4);
     let hook: Arc<dyn PmpiHook> = prof.clone();
     let hooked = World::new(machine(), 4).with_hook(hook).run(body);
     assert_eq!(bare.schedule_hash(), hooked.schedule_hash());

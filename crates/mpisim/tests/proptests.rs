@@ -253,7 +253,7 @@ proptest! {
     #[test]
     fn critical_path_span_is_bounded((nranks, rounds) in program_strategy()) {
         let rounds = Arc::new(rounds);
-        let prof = SimProfiler::new(nranks, 0);
+        let prof = SimProfiler::new(nranks);
         let hook: Arc<dyn PmpiHook> = prof.clone();
         let stats = World::new(machine(), nranks)
             .with_hook(hook)
@@ -278,7 +278,7 @@ proptest! {
         let rounds = Arc::new(rounds);
         let report_at = |width: usize| {
             siesta_par::with_threads(width, || {
-                let prof = SimProfiler::new(nranks, 0);
+                let prof = SimProfiler::new(nranks);
                 let hook: Arc<dyn PmpiHook> = prof.clone();
                 World::new(machine(), nranks)
                     .with_hook(hook)

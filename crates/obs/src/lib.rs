@@ -7,14 +7,19 @@
 //!
 //! * **Leveled logging** ([`log`]): `error!` .. `trace!` macros gated by a
 //!   single atomic level, configurable via `SIESTA_LOG` or `--log-level`.
+//! * **Per-thread event log** ([`chunk_log`]): the one store behind both
+//!   wall-clock spans and the simulator's virtual-time events. Each
+//!   thread appends lock-free to its own chunk chain (a plain write and a
+//!   release store of the chunk length), chunks recycle through a bounded
+//!   pool, and an optional ring keeps each thread's newest records with
+//!   an exact dropped count.
 //! * **Flight-recorder spans** ([`span`]): RAII guards created with
-//!   `span!("sequitur", rank = r)`. The record path is lock-free — each
-//!   thread commits into its own sharded slot buffer — and allocation-free
-//!   for a no-arg span; dynamic args are interned to `u64` content-hash
-//!   ids ([`intern`]). A bounded ring mode (`SIESTA_OBS_CAP` /
-//!   `--obs-cap`) caps memory with an exact dropped-span count. When
-//!   profiling is disabled the macro early-outs on one relaxed atomic
-//!   load and formats nothing.
+//!   `span!("sequitur", rank = r)`, recorded into the event log. The
+//!   record path is lock-free and allocation-free for a no-arg span;
+//!   dynamic args are interned to `u64` content-hash ids ([`intern`]).
+//!   A bounded ring mode (`SIESTA_OBS_CAP` / `--obs-cap`) caps memory
+//!   with an exact dropped-span count. When profiling is disabled the
+//!   macro early-outs on one relaxed atomic load and formats nothing.
 //! * **Metrics** ([`metrics`]): process-global registry of monotonic
 //!   counters, gauges, and log2-bucket histograms with p50/p95/p99.
 //! * **Exporters**: Chrome trace-event JSON ([`chrome`], loadable in
@@ -22,17 +27,17 @@
 //!   and a per-phase report table ([`report`]) with inclusive *and*
 //!   exclusive time ([`selftime`]). Both have canonical (timing-free)
 //!   variants that are byte-identical across `--threads` widths.
-//! * **Virtual-time profiling substrate** ([`timeline`], [`vtime`]):
-//!   bounded per-track event rings with exact drop counts, plus
-//!   virtual-time Chrome-trace and wait/transfer-table exporters for the
-//!   simulator's per-rank profiler (deterministic by construction —
-//!   virtual timestamps are a pure function of the simulated program).
+//! * **Virtual-time exporters** ([`vtime`]): Chrome-trace and
+//!   wait/transfer-table exporters for the simulator's per-rank profiler
+//!   (deterministic by construction — virtual timestamps are a pure
+//!   function of the simulated program).
 //!
 //! The overhead budget — <1% pipeline slowdown with profiling off, <5%
 //! with `--profile` — is measured by `benches/obs_overhead.rs` in
 //! `siesta-bench` and enforced in CI by `scripts/check_bench.py`.
 
 pub mod chrome;
+pub mod chunk_log;
 pub mod intern;
 pub mod log;
 pub mod metrics;
@@ -40,7 +45,6 @@ pub mod report;
 pub mod rss;
 pub mod selftime;
 pub mod span;
-pub mod timeline;
 pub mod vtime;
 
 pub use intern::ArgsId;

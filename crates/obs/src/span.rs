@@ -1,55 +1,42 @@
-//! Flight-recorder spans: lock-free per-thread sharded recording with
-//! RAII guards.
+//! Flight-recorder spans: per-thread lock-free recording with RAII
+//! guards.
 //!
 //! `span!("sequitur", rank = r)` returns a [`SpanGuard`]; dropping it
-//! commits a [`FinishedSpan`] into the calling thread's **shard** — a
-//! chunked, single-writer slot buffer registered in a global shard list.
-//! The commit path takes **no locks and performs no heap allocation** for
-//! a no-arg span: it writes one seqlock-protected slot of plain atomic
-//! words and bumps the shard's committed count. When profiling is
-//! disabled (the default) the macro performs a single relaxed atomic load
-//! and returns an inert guard without formatting its arguments, so
-//! instrumented hot paths stay effectively free.
-//!
-//! # Shard lifecycle
-//!
-//! Each recording thread lazily registers one leaked shard on its first
-//! span (worker threads of the `siesta-par` pool register eagerly at
-//! spawn, so even the first span on a worker is registration-free). A
-//! shard starts with one pre-allocated chunk of [`CHUNK`] slots and grows
-//! by whole chunks — one allocation per `CHUNK` spans, never per span.
-//! Chunks are reused across drains and live for the process.
+//! appends a [`FinishedSpan`] to the calling thread's chain in the shared
+//! per-thread event log ([`crate::chunk_log`]). The commit path takes
+//! **no locks and performs no heap allocation** for a no-arg span once
+//! the thread has a head chunk: it writes one `Copy` record and publishes
+//! it with a release store. When profiling is disabled (the default) the
+//! macro performs a single relaxed atomic load and returns an inert guard
+//! without formatting its arguments, so instrumented hot paths stay
+//! effectively free. Worker threads of the `siesta-par` pool register at
+//! spawn ([`register_thread`]), so no span on a worker pays registration.
 //!
 //! # Bounded mode
 //!
 //! With a capacity set (`SIESTA_OBS_CAP` env var or
-//! [`set_span_capacity`], surfaced as `--obs-cap` on the CLI), each shard
-//! becomes a ring of that many slots: the writer wraps and overwrites the
-//! oldest spans, and [`drain`] reports exactly how many were lost. Long
-//! runs get bounded memory; the newest spans always survive.
+//! [`set_span_capacity`], surfaced as `--obs-cap` on the CLI), each
+//! thread keeps only its newest spans as a ring, and [`drain`] reports
+//! exactly how many were lost. Long runs get bounded memory; the newest
+//! spans always survive.
 //!
 //! # Draining
 //!
-//! [`drain`] snapshots every shard's committed spans, merge-sorts them by
+//! [`drain`] takes every thread's recorded spans and merge-sorts them by
 //! `(start_ns, tid, name)` — a deterministic order, so exports are
-//! byte-stable — and advances a global epoch; each writer resets its own
-//! shard on the first push of a new epoch. Spans committed *while* a
-//! drain is in flight may land in the retiring epoch and be lost, so
-//! drain at quiescence (the CLI drains after the pipeline returns; the
-//! pool's workers are parked by then). A slot overwritten mid-read is
-//! detected by its sequence counter and counted as dropped, never torn.
+//! byte-stable. Spans committed while a drain runs are either in it or
+//! kept for the next one; none is lost or torn.
 //!
 //! Timestamps are nanoseconds since the first use of the clock in this
 //! process (a monotonic epoch), which maps directly onto the Chrome
 //! trace-event `ts` field after dividing by 1000.
 
 use std::cell::Cell;
-use std::sync::atomic::{
-    fence, AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering,
-};
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::{LazyLock, OnceLock};
 use std::time::Instant;
 
+use crate::chunk_log::{ChunkLog, ChunkPool, LogHead};
 use crate::intern::ArgsId;
 
 /// Master switch. Off by default; flipped by `--profile`.
@@ -82,8 +69,8 @@ thread_local! {
     static TID: Cell<u32> = const { Cell::new(0) };
     /// Current span nesting depth on this thread.
     static DEPTH: Cell<u32> = const { Cell::new(0) };
-    /// This thread's shard, once registered.
-    static MY_SHARD: Cell<Option<&'static Shard>> = const { Cell::new(None) };
+    /// This thread's write head in [`SPANS`].
+    static HEAD: LogHead = const { LogHead::new() };
 }
 
 /// Small dense id of the calling thread (1, 2, …, in first-use order).
@@ -91,11 +78,6 @@ thread_local! {
 /// Chrome `tid` field. Cheap enough for per-event sharding decisions.
 #[inline]
 pub fn thread_index() -> u32 {
-    this_tid()
-}
-
-#[inline]
-fn this_tid() -> u32 {
     TID.with(|t| {
         let v = t.get();
         if v != 0 {
@@ -128,277 +110,52 @@ impl FinishedSpan {
     }
 }
 
-/// Spans per chunk. A shard's first chunk is allocated at registration,
-/// so recording is allocation-free until a shard outgrows it (one chunk
-/// allocation per `CHUNK` spans after that).
-pub const CHUNK: usize = 1024;
+/// Drained chunks parked for reuse (~1.5 MB at most).
+static POOL: ChunkPool<FinishedSpan> = ChunkPool::new(64);
 
-/// One recording slot: a per-slot sequence counter plus the span fields
-/// as plain atomic words (seqlock discipline — a reader that races a ring
-/// overwrite observes a sequence mismatch and skips the slot instead of
-/// tearing it).
-struct Slot {
-    /// 0 = never written; odd = write in progress; even > 0 = committed.
-    seq: AtomicU32,
-    name_ptr: AtomicUsize,
-    name_len: AtomicUsize,
-    /// `tid << 32 | depth`.
-    meta: AtomicU64,
-    args: AtomicU64,
-    start_ns: AtomicU64,
-    dur_ns: AtomicU64,
-}
+/// The span log; its ring capacity starts from `SIESTA_OBS_CAP`.
+static SPANS: LazyLock<ChunkLog<FinishedSpan>> = LazyLock::new(|| {
+    let log = ChunkLog::new(&POOL);
+    let env = std::env::var("SIESTA_OBS_CAP").ok().and_then(|v| v.parse().ok());
+    log.set_ring_cap(env.unwrap_or(0));
+    log
+});
 
-impl Slot {
-    const fn new() -> Slot {
-        Slot {
-            seq: AtomicU32::new(0),
-            name_ptr: AtomicUsize::new(0),
-            name_len: AtomicUsize::new(0),
-            meta: AtomicU64::new(0),
-            args: AtomicU64::new(0),
-            start_ns: AtomicU64::new(0),
-            dur_ns: AtomicU64::new(0),
-        }
-    }
-
-    /// Single-writer publish: odd sequence → fields → even sequence.
-    fn write(&self, span: &FinishedSpan) {
-        let s0 = self.seq.load(Ordering::Relaxed);
-        self.seq.store(s0.wrapping_add(1), Ordering::Relaxed);
-        fence(Ordering::Release);
-        self.name_ptr.store(span.name.as_ptr() as usize, Ordering::Relaxed);
-        self.name_len.store(span.name.len(), Ordering::Relaxed);
-        self.meta.store(((span.tid as u64) << 32) | span.depth as u64, Ordering::Relaxed);
-        self.args.store(span.args.0, Ordering::Relaxed);
-        self.start_ns.store(span.start_ns, Ordering::Relaxed);
-        self.dur_ns.store(span.dur_ns, Ordering::Relaxed);
-        self.seq.store(s0.wrapping_add(2), Ordering::Release);
-    }
-
-    /// Validated read: `None` for an unwritten slot or one overwritten
-    /// concurrently (sequence changed under us).
-    fn read(&self) -> Option<FinishedSpan> {
-        let s1 = self.seq.load(Ordering::Acquire);
-        if s1 == 0 || s1 & 1 == 1 {
-            return None;
-        }
-        let name_ptr = self.name_ptr.load(Ordering::Relaxed);
-        let name_len = self.name_len.load(Ordering::Relaxed);
-        let meta = self.meta.load(Ordering::Relaxed);
-        let args = self.args.load(Ordering::Relaxed);
-        let start_ns = self.start_ns.load(Ordering::Relaxed);
-        let dur_ns = self.dur_ns.load(Ordering::Relaxed);
-        fence(Ordering::Acquire);
-        if self.seq.load(Ordering::Relaxed) != s1 {
-            return None;
-        }
-        // The (ptr, len) pair passed the sequence check, so both words
-        // come from the same committed write of a real `&'static str`.
-        let name = unsafe {
-            std::str::from_utf8_unchecked(std::slice::from_raw_parts(
-                name_ptr as *const u8,
-                name_len,
-            ))
-        };
-        Some(FinishedSpan {
-            name,
-            args: ArgsId(args),
-            tid: (meta >> 32) as u32,
-            depth: meta as u32,
-            start_ns,
-            dur_ns,
-        })
-    }
-}
-
-struct Chunk {
-    slots: Box<[Slot]>,
-    next: AtomicPtr<Chunk>,
-}
-
-impl Chunk {
-    fn alloc() -> *mut Chunk {
-        let slots: Box<[Slot]> = (0..CHUNK).map(|_| Slot::new()).collect();
-        Box::into_raw(Box::new(Chunk { slots, next: AtomicPtr::new(std::ptr::null_mut()) }))
-    }
-}
-
-/// One thread's span buffer. Single writer (the owning thread); drained
-/// by any thread via the committed-count/seqlock protocol. All fields are
-/// atomics so the shard is `Sync` without locks; the cursor fields
-/// (`tail`, `tail_pos`) are written only by the owner.
-struct Shard {
-    tid: u32,
-    /// First chunk; allocated at registration, never replaced.
-    head: AtomicPtr<Chunk>,
-    /// Writer cursor: current chunk and position within it.
-    tail: AtomicPtr<Chunk>,
-    tail_pos: AtomicUsize,
-    /// Spans pushed in the current epoch (monotonic within an epoch).
-    written: AtomicU64,
-    /// Drain epoch these contents belong to.
-    epoch: AtomicU64,
-    /// Ring capacity in slots for this epoch (0 = unbounded).
-    cap: AtomicU64,
-}
-
-impl Shard {
-    fn new(tid: u32) -> Shard {
-        let first = Chunk::alloc();
-        Shard {
-            tid,
-            head: AtomicPtr::new(first),
-            tail: AtomicPtr::new(first),
-            tail_pos: AtomicUsize::new(0),
-            written: AtomicU64::new(0),
-            epoch: AtomicU64::new(0),
-            cap: AtomicU64::new(0),
-        }
-    }
-
-    /// Commit one span. Owner thread only. Lock-free; allocates only when
-    /// the shard grows past another [`CHUNK`] spans in unbounded mode.
-    fn push(&self, span: &FinishedSpan) {
-        let ep = SPAN_EPOCH.load(Ordering::Relaxed);
-        if self.epoch.load(Ordering::Relaxed) != ep {
-            // First push of a new epoch: the previous contents were
-            // drained (or abandoned). Reset the cursor, re-read the cap.
-            self.written.store(0, Ordering::Relaxed);
-            self.cap.store(global_cap(), Ordering::Relaxed);
-            self.tail.store(self.head.load(Ordering::Relaxed), Ordering::Relaxed);
-            self.tail_pos.store(0, Ordering::Relaxed);
-            self.epoch.store(ep, Ordering::Release);
-        }
-        let w = self.written.load(Ordering::Relaxed);
-        let cap = self.cap.load(Ordering::Relaxed);
-        if cap != 0 && w != 0 && w.is_multiple_of(cap) {
-            // Ring wrap: overwrite from the first slot again.
-            self.tail.store(self.head.load(Ordering::Relaxed), Ordering::Relaxed);
-            self.tail_pos.store(0, Ordering::Relaxed);
-        }
-        let mut chunk = self.tail.load(Ordering::Relaxed);
-        let mut pos = self.tail_pos.load(Ordering::Relaxed);
-        if pos == CHUNK {
-            let cur = unsafe { &*chunk };
-            let mut next = cur.next.load(Ordering::Acquire);
-            if next.is_null() {
-                next = Chunk::alloc();
-                cur.next.store(next, Ordering::Release);
-            }
-            chunk = next;
-            pos = 0;
-            self.tail.store(chunk, Ordering::Relaxed);
-            self.tail_pos.store(0, Ordering::Relaxed);
-        }
-        unsafe { &*chunk }.slots[pos].write(span);
-        self.tail_pos.store(pos + 1, Ordering::Relaxed);
-        self.written.store(w + 1, Ordering::Release);
-    }
-}
-
-/// Global drain epoch; bumped by [`drain`]. Starts at 1 so a fresh
-/// shard's `epoch == 0` is always stale.
-static SPAN_EPOCH: AtomicU64 = AtomicU64::new(1);
-
-/// All registered shards (leaked, one per recording thread ever seen).
-static REGISTRY: Mutex<Vec<&'static Shard>> = Mutex::new(Vec::new());
-
-/// Per-shard slot capacity. `u64::MAX` = unset, read `SIESTA_OBS_CAP`
-/// lazily; 0 = unbounded.
-static CAP: AtomicU64 = AtomicU64::new(u64::MAX);
-
-fn global_cap() -> u64 {
-    let c = CAP.load(Ordering::Relaxed);
-    if c != u64::MAX {
-        return c;
-    }
-    let env = std::env::var("SIESTA_OBS_CAP")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(0);
-    CAP.store(env, Ordering::Relaxed);
-    env
-}
-
-/// Bound every shard to a ring of `cap` spans (0 = unbounded, the
-/// default). Overrides `SIESTA_OBS_CAP`; surfaced as `--obs-cap` on the
-/// CLI. Takes effect per shard at the start of its next drain epoch, so
-/// set it before recording.
+/// Bound every thread to a ring of its newest `cap` spans (0 = unbounded,
+/// the default). Overrides `SIESTA_OBS_CAP`; surfaced as `--obs-cap` on
+/// the CLI. A thread picks it up at its first span after the next drain,
+/// so set it before recording.
 pub fn set_span_capacity(cap: usize) {
-    CAP.store(cap as u64, Ordering::Relaxed);
+    SPANS.set_ring_cap(cap);
 }
 
-/// The configured per-shard span capacity (0 = unbounded).
+/// The configured per-thread span capacity (0 = unbounded).
 pub fn span_capacity() -> usize {
-    global_cap() as usize
+    SPANS.ring_cap()
 }
 
-fn my_shard() -> &'static Shard {
-    MY_SHARD.with(|s| match s.get() {
-        Some(shard) => shard,
-        None => {
-            let shard: &'static Shard = Box::leak(Box::new(Shard::new(this_tid())));
-            REGISTRY.lock().unwrap().push(shard);
-            s.set(Some(shard));
-            shard
-        }
-    })
-}
-
-/// Eagerly register this thread's shard (allocates its first chunk and
-/// takes the registry lock once). The `siesta-par` pool calls this from
-/// each worker at spawn so no lock or allocation is left on the first
-/// recorded span.
+/// Eagerly register this thread with the recorder (takes the registry
+/// lock and a head chunk once). The `siesta-par` pool calls this from
+/// each worker at spawn so no span recorded inside a parallel region
+/// pays for registration.
 pub fn register_thread() {
-    let _ = my_shard();
+    SPANS.register(&HEAD);
 }
 
-/// Result of [`drain`]: the spans of the ending epoch, merge-sorted by
-/// `(start_ns, tid, name)`, plus how many were dropped (ring-buffer
-/// overwrites and slots caught mid-write).
+/// Result of [`drain`]: the spans recorded since the last drain,
+/// merge-sorted by `(start_ns, tid, name)`, plus how many bounded mode
+/// dropped.
 #[derive(Debug, Default)]
 pub struct DrainedSpans {
     pub spans: Vec<FinishedSpan>,
     pub dropped: u64,
 }
 
-/// Collect all spans recorded since the last drain and start a new epoch.
-/// Deterministically ordered; see the module docs for the (documented)
-/// loss window when draining concurrently with recording.
+/// Collect all spans recorded since the last drain, leaving the recorder
+/// empty. Deterministically ordered.
 pub fn drain() -> DrainedSpans {
-    let registry = REGISTRY.lock().unwrap();
-    let ep = SPAN_EPOCH.load(Ordering::Relaxed);
     let mut spans = Vec::new();
-    let mut dropped = 0u64;
-    for shard in registry.iter() {
-        if shard.epoch.load(Ordering::Acquire) != ep {
-            continue; // nothing recorded this epoch
-        }
-        let w = shard.written.load(Ordering::Acquire);
-        let cap = shard.cap.load(Ordering::Relaxed);
-        let live = if cap != 0 { w.min(cap) } else { w };
-        dropped += w - live;
-        let mut chunk = shard.head.load(Ordering::Acquire);
-        let mut remaining = live;
-        while !chunk.is_null() && remaining > 0 {
-            let c = unsafe { &*chunk };
-            let n = (remaining as usize).min(CHUNK);
-            for slot in &c.slots[..n] {
-                match slot.read() {
-                    Some(span) => spans.push(span),
-                    // Overwritten or mid-write while we looked: lost to
-                    // the ring, never torn.
-                    None => dropped += 1,
-                }
-            }
-            remaining -= n as u64;
-            chunk = c.next.load(Ordering::Acquire);
-        }
-        debug_assert_eq!(remaining, 0, "shard {} chunk chain shorter than committed count", shard.tid);
-    }
-    SPAN_EPOCH.fetch_add(1, Ordering::Relaxed);
-    drop(registry);
+    let dropped = SPANS.drain(|s| spans.push(s));
     spans.sort_by(|a, b| {
         (a.start_ns, a.tid, a.name).cmp(&(b.start_ns, b.tid, b.name))
     });
@@ -453,14 +210,17 @@ impl Drop for SpanGuard {
         if let Some(live) = self.live.take() {
             let dur_ns = clock_ns().saturating_sub(live.start_ns);
             DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
-            my_shard().push(&FinishedSpan {
-                name: live.name,
-                args: live.args,
-                tid: this_tid(),
-                depth: live.depth,
-                start_ns: live.start_ns,
-                dur_ns,
-            });
+            SPANS.push(
+                &HEAD,
+                FinishedSpan {
+                    name: live.name,
+                    args: live.args,
+                    tid: thread_index(),
+                    depth: live.depth,
+                    start_ns: live.start_ns,
+                    dur_ns,
+                },
+            );
         }
     }
 }
@@ -517,9 +277,11 @@ macro_rules! span {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunk_log::CHUNK;
+    use std::sync::Mutex;
 
     /// Serializes tests that touch the process-global recorder state
-    /// (profiling switch, epoch, capacity).
+    /// (profiling switch, span log, capacity).
     static RECORDER_LOCK: Mutex<()> = Mutex::new(());
 
     fn locked() -> std::sync::MutexGuard<'static, ()> {

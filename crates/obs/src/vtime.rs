@@ -2,10 +2,9 @@
 //!
 //! Where `crate::chrome` exports *wall-clock* spans of the synthesis
 //! pipeline, this module exports *virtual-time* intervals recorded by the
-//! simulator's profiler (`crate::timeline`): one Chrome-trace track per
-//! simulated rank with timestamps in virtual microseconds, plus a
-//! deterministic per-call-class wait/transfer table for `--stats`-style
-//! reports.
+//! simulator's profiler: one Chrome-trace track per simulated rank with
+//! timestamps in virtual microseconds, plus a deterministic
+//! per-call-class wait/transfer table for `--stats`-style reports.
 //!
 //! Virtual timestamps are a pure function of the simulated program, so —
 //! unlike the wall-clock exporters — these outputs need no separate
@@ -40,8 +39,6 @@ pub struct VtSpan {
 pub struct VtTraceMeta {
     pub tracks_total: usize,
     pub tracks_exported: usize,
-    /// Events overwritten by ring-capped recording (before export).
-    pub events_dropped: u64,
     /// Events on tracks elided by striding (at export).
     pub events_skipped: u64,
 }
@@ -89,8 +86,8 @@ pub fn chrome_trace_json(spans: &[VtSpan], meta: &VtTraceMeta) -> String {
     let _ = write!(
         out,
         "\n],\n\"displayTimeUnit\":\"ms\",\n\"siestaVtMeta\":{{\"tracks_total\":{},\
-         \"tracks_exported\":{},\"events_dropped\":{},\"events_skipped\":{}}}\n}}\n",
-        meta.tracks_total, meta.tracks_exported, meta.events_dropped, meta.events_skipped
+         \"tracks_exported\":{},\"events_skipped\":{}}}\n}}\n",
+        meta.tracks_total, meta.tracks_exported, meta.events_skipped
     );
     out
 }
@@ -171,7 +168,7 @@ mod tests {
             VtSpan { track: 0, name: "MPI_Send", ts_ns: 1500.0, dur_ns: 250.0, wait_ns: 0.0, bytes: 64 },
             VtSpan { track: 3, name: "MPI_Recv", ts_ns: 1000.0, dur_ns: 900.5, wait_ns: 700.5, bytes: 0 },
         ];
-        let meta = VtTraceMeta { tracks_total: 4, tracks_exported: 2, events_dropped: 1, events_skipped: 5 };
+        let meta = VtTraceMeta { tracks_total: 4, tracks_exported: 2, events_skipped: 5 };
         let a = chrome_trace_json(&spans, &meta);
         assert_eq!(a, chrome_trace_json(&spans, &meta));
         assert!(a.contains("\"tid\":3"));

@@ -96,9 +96,9 @@ pub(crate) fn in_worker() -> bool {
 
 fn worker_loop() {
     IN_WORKER.with(|w| w.set(true));
-    // Register this worker's flight-recorder shard up front (one lock +
-    // one chunk allocation, once per thread) so no span recorded inside a
-    // parallel region ever pays for registration.
+    // Register this worker with the flight recorder up front (one lock +
+    // one chunk, once per thread) so no span recorded inside a parallel
+    // region ever pays for registration.
     siesta_obs::register_thread();
     let p = pool();
     let mut seen_gen = 0u64;

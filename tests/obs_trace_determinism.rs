@@ -170,6 +170,47 @@ fn sim_profiler_artifacts_are_byte_identical_across_widths_and_memo() {
     }
 }
 
+/// One traced CG run with span profiling and/or the virtual-time profiler
+/// on: the virtual-time snapshot (if profiled) and the drained spans as
+/// sorted `(name, args)` pairs.
+fn shared_log_run(
+    width: usize,
+    spans: bool,
+    sim: bool,
+) -> (Option<siesta_mpisim::SimProfileSnapshot>, Vec<(&'static str, &'static str)>) {
+    siesta_obs::drain_spans();
+    siesta_obs::set_profiling_enabled(spans);
+    siesta_mpisim::set_sim_profile_enabled(sim);
+    siesta_par::with_threads(width, || {
+        let siesta = Siesta::new(SiestaConfig::default());
+        let (_, _) =
+            siesta.synthesize_run(machine(), 16, |r| Program::Cg.body(ProblemSize::Tiny)(r));
+    });
+    siesta_obs::set_profiling_enabled(false);
+    siesta_mpisim::set_sim_profile_enabled(false);
+    let mut names: Vec<_> =
+        siesta_obs::drain_spans().iter().map(|s| (s.name, s.args_str())).collect();
+    names.sort_unstable();
+    (siesta_mpisim::take_sim_profile(), names)
+}
+
+#[test]
+fn spans_and_sim_events_share_the_event_log_without_interference() {
+    let _g = WIDTH_LOCK.lock().unwrap();
+    // Spans and simulator events append to the same per-thread event log
+    // from the same pool workers; neither writer may disturb the other.
+    for width in WIDTHS {
+        let (sim_only, _) = shared_log_run(width, false, true);
+        let (_, spans_only) = shared_log_run(width, true, false);
+        let (both_snap, both_spans) = shared_log_run(width, true, true);
+        let sim_only = sim_only.expect("profiler installed by trace run");
+        assert!(sim_only.events_total() > 0, "width {width}: no simulator events");
+        assert!(spans_only.iter().any(|s| s.0 == "trace"), "width {width}: no spans");
+        assert_eq!(both_snap.as_ref(), Some(&sim_only), "width {width}: snapshot differs");
+        assert_eq!(both_spans, spans_only, "width {width}: spans differ");
+    }
+}
+
 #[test]
 fn canonical_report_is_stable_across_repeat_runs_at_same_width() {
     let _g = WIDTH_LOCK.lock().unwrap();

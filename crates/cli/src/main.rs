@@ -40,7 +40,10 @@ COMMANDS:
                  --emit-c <file>     also write the C source
                  --from-trace <f>    synthesize from a saved .siestatrace
                                      (SIESTC1 store) instead of running
-                                     the program
+                                     the program; the options that shape
+                                     a traced run (--program, --nprocs,
+                                     --size, --threshold, --stream-buf,
+                                     --trace-store) are errors with it
                  --no-memo           disable cross-rank grammar memoization
                                      (rebuild Sequitur per rank even for
                                      duplicate sequences; output unchanged)
@@ -48,8 +51,8 @@ COMMANDS:
                                      per rank (default 4096, env
                                      SIESTA_STREAM_BUF)
                  --trace-store <f>   also write the merged trace as a
-                                     zero-copy columnar store (written
-                                     rank by rank)
+                                     columnar store (written rank by
+                                     rank)
                  --sim-profile / --sim-trace-out / --critical-path
                                      profile the traced run in virtual time
                                      (see simulate)
@@ -70,7 +73,7 @@ COMMANDS:
                  --proxy <file>
 
     trace        Trace a workload; print the merged event table or save it
-                 as a zero-copy columnar store (.siestatrace)
+                 as a columnar store (.siestatrace)
                  --program <name> [--nprocs n] [--size s] [--platform p] [--flavor f]
                  [--out <file.siestatrace>] [--stream-buf <n>]
 
@@ -387,6 +390,12 @@ fn cmd_synthesize(args: &Args) -> Result<(), String> {
     ])?;
     // Offline path: synthesize from a saved merged trace.
     if let Some(trace_path) = args.get("from-trace") {
+        // These shape the traced run, which a stored trace already fixed.
+        for opt in ["program", "nprocs", "size", "threshold", "stream-buf", "trace-store"] {
+            if args.get(opt).is_some() {
+                return Err(format!("--{opt} cannot be combined with --from-trace"));
+            }
+        }
         let machine = parse_machine(args)?;
         let scale = args.get_f64("scale", 1.0)?;
         let out = args.require("out")?;

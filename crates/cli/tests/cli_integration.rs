@@ -211,6 +211,38 @@ fn offline_trace_to_synthesis_workflow() {
 }
 
 #[test]
+fn from_trace_rejects_online_only_options() {
+    // The options that shape a traced run are errors offline, never
+    // silently ignored; nothing is written.
+    let trace_file = tmp("cg4_online_only.siestatrace");
+    let out = siesta(&[
+        "trace", "--program", "CG", "--nprocs", "4", "--size", "tiny", "--out",
+        trace_file.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let proxy = tmp("online_only.siesta");
+    let store = tmp("online_only_copy.siestatrace");
+    for (opt, value) in [
+        ("--program", "BT"),
+        ("--nprocs", "9"),
+        ("--size", "small"),
+        ("--threshold", "0.5"),
+        ("--stream-buf", "16"),
+        ("--trace-store", store.to_str().unwrap()),
+    ] {
+        let out = siesta(&[
+            "synthesize", "--from-trace", trace_file.to_str().unwrap(), "--out",
+            proxy.to_str().unwrap(), opt, value,
+        ]);
+        assert!(!out.status.success(), "{opt} was accepted with --from-trace");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(opt), "{opt}: {err}");
+        assert!(!proxy.exists() && !store.exists(), "{opt}: output written");
+    }
+    std::fs::remove_file(&trace_file).ok();
+}
+
+#[test]
 fn legacy_row_trace_is_rejected_naming_the_store_format() {
     // The retired row codec's header (magic + version 1 + a few fields):
     // `--from-trace` must refuse it cleanly and name the SIESTC1 store.

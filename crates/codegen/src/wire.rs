@@ -47,15 +47,20 @@ fn put_rankset(w: &mut Writer, s: &RankSet) {
     }
 }
 
-fn get_rankset(r: &mut Reader) -> Result<RankSet, WireError> {
+/// Read a rank set of a program with `nranks` ranks. Every range must be
+/// ordered and inside `0..nranks`; the ranges are kept as ranges, so a
+/// corrupt `[0, u32::MAX]` costs eight bytes, not four billion ids.
+fn get_rankset(r: &mut Reader, nranks: usize) -> Result<RankSet, WireError> {
     let n = r.u32()? as usize;
-    let mut items = Vec::new();
+    let mut ranges = Vec::new();
     for _ in 0..n {
-        let a = r.u32()?;
-        let b = r.u32()?;
-        items.extend(a..=b);
+        let (a, b) = (r.u32()?, r.u32()?);
+        if a > b || b as usize >= nranks {
+            return Err(WireError::BadRankRange);
+        }
+        ranges.push((a, b));
     }
-    Ok(RankSet::from_iter(items))
+    Ok(RankSet::from_ranges(ranges))
 }
 
 // ---------------------------------------------------------------------
@@ -127,7 +132,7 @@ pub fn from_bytes(bytes: &[u8]) -> Result<ProxyProgram, WireError> {
     let generated_on = r.str()?;
 
     let n_terminals = r.u32()? as usize;
-    let mut terminals = Vec::with_capacity(n_terminals);
+    let mut terminals = Vec::with_capacity(n_terminals.min(r.remaining()));
     for _ in 0..n_terminals {
         match r.u8()? {
             0 => terminals.push(TerminalOp::Comm(get_event(&mut r)?)),
@@ -150,10 +155,10 @@ pub fn from_bytes(bytes: &[u8]) -> Result<ProxyProgram, WireError> {
     }
 
     let n_rules = r.u32()? as usize;
-    let mut rules = Vec::with_capacity(n_rules);
+    let mut rules = Vec::with_capacity(n_rules.min(r.remaining()));
     for _ in 0..n_rules {
         let len = r.u32()? as usize;
-        let mut body = Vec::with_capacity(len);
+        let mut body = Vec::with_capacity(len.min(r.remaining()));
         for _ in 0..len {
             let sym = get_sym(&mut r)?;
             let exp = r.u64()?;
@@ -163,15 +168,15 @@ pub fn from_bytes(bytes: &[u8]) -> Result<ProxyProgram, WireError> {
     }
 
     let n_mains = r.u32()? as usize;
-    let mut mains = Vec::with_capacity(n_mains);
+    let mut mains = Vec::with_capacity(n_mains.min(r.remaining()));
     for _ in 0..n_mains {
-        let ranks = get_rankset(&mut r)?;
+        let ranks = get_rankset(&mut r, nranks)?;
         let len = r.u32()? as usize;
-        let mut body = Vec::with_capacity(len);
+        let mut body = Vec::with_capacity(len.min(r.remaining()));
         for _ in 0..len {
             let sym = get_sym(&mut r)?;
             let exp = r.u64()?;
-            let sym_ranks = get_rankset(&mut r)?;
+            let sym_ranks = get_rankset(&mut r, nranks)?;
             body.push(MainSym { sym, exp, ranks: sym_ranks });
         }
         mains.push(MergedMain { ranks, body });
@@ -251,6 +256,41 @@ mod tests {
                 "truncation at {cut} accepted"
             );
         }
+    }
+
+    #[test]
+    fn rejects_rank_ranges_outside_the_program() {
+        // One main over `ranks` with an empty body; its rank set's two
+        // bounds are the last 8 bytes before the body length.
+        let encode = |ranks: RankSet| {
+            to_bytes(&ProxyProgram {
+                terminals: vec![],
+                rules: vec![],
+                mains: vec![MergedMain { ranks, body: vec![] }],
+                ..toy()
+            })
+        };
+        // `[0, u32::MAX]` would expand to 2³² ids (17 GB) if decoded by
+        // enumeration; `[2, 4]` reaches past the 4 ranks.
+        for (a, b) in [(0, u32::MAX), (2, 4)] {
+            let bytes = encode(RankSet::from_ranges(vec![(a, b)]));
+            assert_eq!(from_bytes(&bytes), Err(WireError::BadRankRange), "[{a}, {b}]");
+        }
+        let mut bytes = encode(RankSet::from_ranges(vec![(1, 2)]));
+        let n = bytes.len();
+        bytes[n - 12..n - 8].copy_from_slice(&3u32.to_le_bytes());
+        assert_eq!(from_bytes(&bytes), Err(WireError::BadRankRange), "reversed range");
+    }
+
+    #[test]
+    fn oversized_list_lengths_are_truncation_errors() {
+        // A terminal count of u32::MAX must fail on the missing bytes, not
+        // pre-size a vector for four billion terminals.
+        let mut bytes = to_bytes(&toy());
+        let at = 8 + 1 + 4 + 8 + 4 + toy().generated_on.len();
+        assert_eq!(bytes[at..at + 4], 5u32.to_le_bytes());
+        bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(from_bytes(&bytes), Err(WireError::Truncated));
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! ```
 //!
 //! The offline front end ([`Siesta::synthesize_global`]) starts from a
-//! loaded trace store instead and batch-builds the per-rank grammars.
+//! loaded trace store instead: it batch-builds the per-rank grammars
+//! (memoized), wraps them in the same [`StreamedGlobal`] the live front end
+//! produces, and enters the same back half.
 
 use std::sync::Arc;
 
@@ -143,7 +145,8 @@ impl Siesta {
     /// [`GlobalTrace`] — the offline half of the paper's workflow: collect
     /// the trace on the production system, synthesize anywhere.
     pub fn synthesize_global(&self, global: GlobalTrace, gen_machine: &Machine) -> Synthesis {
-        let _span = span!("synthesize", nranks = global.nranks);
+        let GlobalTrace { nranks, table, seqs, raw_bytes, merge_rounds } = global;
+        let _span = span!("synthesize", nranks = nranks);
         // Width is reported as a gauge, never as a span arg: span args are
         // part of the canonical (cross-width byte-identical) trace, and
         // `par.threads` is exactly the thing allowed to vary between runs.
@@ -154,18 +157,13 @@ impl Siesta {
         // memoization assigns in first-seen order, so the merged grammar is
         // identical at any thread count, memo on or off.
         let grammars: Vec<Grammar> = {
-            let _span = span!("sequitur-fanout", ranks = global.nranks);
-            siesta_obs::counter("par.sequitur.tasks").add(global.seqs.len() as u64);
-            build_rank_grammars(&global.seqs, self.config.grammar_memo)
+            let _span = span!("sequitur-fanout", ranks = nranks);
+            siesta_obs::counter("par.sequitur.tasks").add(seqs.len() as u64);
+            build_rank_grammars(&seqs, self.config.grammar_memo)
         };
-        self.finish_synthesis(
-            global.nranks,
-            &global.table,
-            global.raw_bytes,
-            global.merge_rounds,
-            &grammars,
-            gen_machine,
-        )
+        drop(seqs); // the back half needs only the grammars
+        let sg = StreamedGlobal { nranks, table, grammars, raw_bytes, merge_rounds };
+        self.finish_synthesis(&sg, gen_machine)
     }
 
     /// Synthesize a proxy-app from a streamed trace. `gen_machine` is the
@@ -197,29 +195,15 @@ impl Siesta {
     ) -> Synthesis {
         let _span = span!("synthesize", nranks = sg.nranks);
         siesta_obs::gauge("par.threads").set(siesta_par::threads() as i64);
-        self.finish_synthesis(
-            sg.nranks,
-            &sg.table,
-            sg.raw_bytes,
-            sg.merge_rounds,
-            &sg.grammars,
-            gen_machine,
-        )
+        self.finish_synthesis(&sg, gen_machine)
     }
 
     /// Shared synthesis back half: inter-process grammar merge, proxy
     /// search, codegen, accounting. The live (lifted grammars) and offline
     /// (rebuilt grammars) front ends land here with the same
     /// (byte-identical) table and per-rank grammars.
-    fn finish_synthesis(
-        &self,
-        nranks: usize,
-        table: &[EventRecord],
-        raw_bytes: usize,
-        merge_rounds: u32,
-        grammars: &[Grammar],
-        gen_machine: &Machine,
-    ) -> Synthesis {
+    fn finish_synthesis(&self, sg: &StreamedGlobal, gen_machine: &Machine) -> Synthesis {
+        let (table, grammars) = (&sg.table, &sg.grammars);
         let merged = {
             let _span = span!("grammar-merge", grammars = grammars.len());
             merge_grammars(grammars, &self.config.merge)
@@ -270,7 +254,7 @@ impl Siesta {
 
         let _codegen_span = span!("codegen", terminals = terminals.len());
         let program = ProxyProgram {
-            nranks,
+            nranks: sg.nranks,
             terminals,
             rules: merged.rules.clone(),
             mains: merged.mains.clone(),
@@ -279,7 +263,7 @@ impl Siesta {
         };
 
         let stats = SynthesisStats {
-            raw_trace_bytes: raw_bytes,
+            raw_trace_bytes: sg.raw_bytes,
             size_c_bytes: size_c(table, &program),
             num_terminals: program.terminals.len(),
             num_comm_terminals: program.comm_terminals(),
@@ -287,7 +271,7 @@ impl Siesta {
             num_rules: program.rules.len(),
             num_mains: program.mains.len(),
             grammar_size: program.grammar_size(),
-            merge_rounds,
+            merge_rounds: sg.merge_rounds,
             mean_fit_error: if fit_error_n > 0 {
                 fit_error_sum / fit_error_n as f64
             } else {

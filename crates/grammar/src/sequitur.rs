@@ -117,6 +117,11 @@ pub struct Sequitur {
     /// Times the digram table outgrew its reservation (flushed to the
     /// `grammar.digram.rehashes` counter by `into_grammar`).
     rehashes: u64,
+    /// Largest digram-table capacity seen so far. `capacity()` is items
+    /// plus growth left, so it also dips and recovers as removals leave
+    /// tombstones and in-place rehashes clear them; only a capacity above
+    /// this high-water mark is a real growth.
+    digram_cap: usize,
     /// Run-length constraint enabled (the paper's configuration). Disabled
     /// only by the ablation harness, which contrasts the O(1) powers
     /// against classic Sequitur's O(log n) rule chains for regular loops.
@@ -183,8 +188,10 @@ impl Sequitur {
             pair_ids: fx_map_with_capacity(pair_reserve),
             digrams: fx_map_with_capacity(digram_reserve(len)),
             rehashes: 0,
+            digram_cap: 0,
             rle,
         };
+        s.digram_cap = s.digrams.capacity();
         s.new_rule(); // rule 0: main
         s
     }
@@ -366,9 +373,9 @@ impl Sequitur {
 
     /// Insert into the digram index, counting reservation overflows.
     fn digram_insert(&mut self, key: u64, left: u32) {
-        let before = self.digrams.capacity();
         self.digrams.insert(key, left);
-        if self.digrams.capacity() != before {
+        if self.digrams.capacity() > self.digram_cap {
+            self.digram_cap = self.digrams.capacity();
             self.rehashes += 1;
         }
     }
@@ -880,6 +887,31 @@ mod tests {
             }
             assert_eq!(s.into_grammar(), Sequitur::build(&seq), "seed {seed}");
         }
+    }
+
+    #[test]
+    fn digram_growths_count_real_resizes_only() {
+        // Every substitution removes and re-inserts digram keys, so the
+        // table's `capacity()` flickers with tombstones far more often
+        // than the table grows. A table that doubles from its reservation
+        // up to `cap` grows at least once and at most ⌈log₂ cap⌉ + 1 times.
+        // Trace-like input: a random walk over 16 short phrases.
+        let phrases: Vec<Vec<u32>> = (0..16).map(|k| lcg_seq(k + 1, 6, 32)).collect();
+        let picks = lcg_seq(99, 4000, 16);
+        let seq: Vec<u32> = picks.iter().flat_map(|&k| phrases[k as usize].clone()).collect();
+        let mut s = Sequitur::new();
+        for &t in &seq {
+            s.push(t);
+        }
+        let cap = s.digrams.capacity();
+        let bound = u64::from(cap.next_power_of_two().trailing_zeros()) + 1;
+        assert!((1..=bound).contains(&s.rehashes), "{} growths to capacity {cap}", s.rehashes);
+        // `Sequitur::build`'s reservation covers the same input outright.
+        let mut s = Sequitur::with_rle_and_capacity(true, seq.len());
+        for &t in &seq {
+            s.push(t);
+        }
+        assert_eq!(s.rehashes, 0);
     }
 
     #[test]

@@ -123,22 +123,24 @@ impl RankSet {
         self.ranges.iter().flat_map(|&(s, e)| s..=e)
     }
 
+    /// The set covered by inclusive `[start, end]` ranges (each with
+    /// `start <= end`) given in any order, overlapping or adjacent.
+    pub fn from_ranges(mut ranges: Vec<(u32, u32)>) -> RankSet {
+        debug_assert!(ranges.iter().all(|&(s, e)| s <= e));
+        ranges.sort_unstable();
+        ranges.dedup_by(|next, last| {
+            let joins = next.0 <= last.1.saturating_add(1);
+            if joins {
+                last.1 = last.1.max(next.1);
+            }
+            joins
+        });
+        RankSet { ranges }
+    }
+
     /// Set union.
     pub fn union(&self, other: &RankSet) -> RankSet {
-        let mut merged: Vec<(u32, u32)> = Vec::with_capacity(self.ranges.len() + other.ranges.len());
-        merged.extend_from_slice(&self.ranges);
-        merged.extend_from_slice(&other.ranges);
-        merged.sort_unstable();
-        let mut out: Vec<(u32, u32)> = Vec::with_capacity(merged.len());
-        for (s, e) in merged {
-            match out.last_mut() {
-                Some(last) if s <= last.1.saturating_add(1) => {
-                    last.1 = last.1.max(e);
-                }
-                _ => out.push((s, e)),
-            }
-        }
-        RankSet { ranges: out }
+        RankSet::from_ranges([&self.ranges[..], &other.ranges[..]].concat())
     }
 
     /// The underlying ranges (for code generation of branch conditions).
@@ -208,6 +210,12 @@ mod tests {
         assert_eq!(a.union(&a), a);
         // Union is commutative.
         assert_eq!(a.union(&b), b.union(&a));
+    }
+
+    #[test]
+    fn rankset_from_ranges_coalesces() {
+        let s = RankSet::from_ranges(vec![(7, 8), (0, 2), (3, 3), (1, 1), (9, u32::MAX)]);
+        assert_eq!(s.ranges(), &[(0, 3), (7, u32::MAX)]);
     }
 
     #[test]

@@ -48,8 +48,7 @@ pub mod wire;
 pub use event::{abs_rank, counters_close, rel_rank, CommEvent, ComputeStats, EventRecord};
 pub use merge::{merge_rank_tables, merge_streamed, GlobalTrace, MergedTables, StreamedGlobal};
 pub use pool::{FreePool, HandleMap};
-pub use store::{store_to_bytes, StoreError, StoreWriter, TraceStore};
-pub use wire::load_trace;
+pub use store::{decode_store, load_trace, store_to_bytes, StoreError, StoreWriter};
 pub use recorder::{
     resolve_stream_buf, Normalizer, Recorder, StreamedRank, StreamedTrace, TraceConfig,
     DEFAULT_STREAM_BUF, STREAM_BUF_MAX, STREAM_BUF_MIN,

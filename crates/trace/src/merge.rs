@@ -187,7 +187,9 @@ pub fn merge_rank_tables(tables: Vec<Vec<EventRecord>>) -> MergedTables {
 /// The job-wide trace a streaming ingest produces: one global terminal
 /// table plus per-rank grammars whose terminals are *global* ids. The flat
 /// per-rank id sequences never materialize — each rank's sequence exists
-/// only as its grammar, built online while the program ran.
+/// only as its grammar, built online while the program ran. The offline
+/// front end builds the same value from a decoded store, so both enter
+/// one synthesis back half.
 #[derive(Debug, Clone)]
 pub struct StreamedGlobal {
     pub nranks: usize,

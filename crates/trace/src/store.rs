@@ -1,15 +1,13 @@
-//! Zero-copy columnar trace store (`.siestatrace`, format `SIESTC1`).
+//! Columnar trace store (`.siestatrace`, format `SIESTC1`).
 //!
-//! The one on-disk trace format. A row codec would decode every event on
-//! every load — fine for the proxy artifacts, hopeless for multi-GB traces
-//! that replay and baseline comparison re-read many times. This store lays
-//! a merged trace out the way readers consume it, following the renacer
-//! tracing exemplar (hash-interned ids, mmap-backed logs):
+//! The one on-disk trace format: the merged trace the paper's offline
+//! workflow records once and synthesizes from elsewhere. The file is laid
+//! out the way the reader consumes it, following the renacer tracing
+//! exemplar (hash-interned ids, append-only logs):
 //!
 //! * **Struct-of-arrays event table.** One `u8` kind/tag column and one
 //!   `u64` payload-reference column (offset ≪ 32 | length into a payload
-//!   pool), instead of variable-length rows. Scanning kinds never touches
-//!   payload bytes.
+//!   pool), instead of variable-length rows.
 //! * **Hash-interned payload pool.** Payload bytes are deduped through a
 //!   `siesta-hash` u64 content index before writing — equal payloads
 //!   (e.g. mirrored send/recv bodies) share pool storage.
@@ -18,18 +16,13 @@
 //!   little-endian `u32` ids, 4-byte aligned). A streaming producer emits
 //!   chunks as buffers fill; a rank's sequence may span any number of
 //!   chunks.
-//! * **mmap-able.** [`TraceStore::open`] maps the file (falling back to a
-//!   heap read where mapping is unavailable) and hands out chunk id
-//!   slices **without deserialization**: on little-endian hosts with the
-//!   mapping 4-byte aligned the `&[u32]` view is a pointer cast, checked
-//!   and with a decode fallback, so a malformed file can reject but never
-//!   produce UB.
-//!
-//! Every structural field is validated at open time — bounds, markers,
-//! per-chunk checksums — so corrupt or truncated files fail with a
-//! [`StoreError`] before any data is served.
+//! * **Validated one-pass decode.** [`decode_store`] walks header,
+//!   columns, pool, chunks and footer once, appending each checksummed
+//!   chunk straight onto its rank's sequence. Every structural field is
+//!   checked on the way — bounds, markers, per-chunk checksums, footer
+//!   counts — so a corrupt or truncated file fails with a [`StoreError`]
+//!   and never panics.
 
-use std::borrow::Cow;
 use std::hash::Hasher;
 use std::io::{self, Write};
 use std::path::Path;
@@ -98,92 +91,6 @@ fn fx_checksum(bytes: &[u8]) -> u32 {
 
 fn pad8(n: usize) -> usize {
     n.div_ceil(8) * 8
-}
-
-// ---------------------------------------------------------------------
-// mmap backing (hand-declared against the libc std already links — the
-// workspace stays zero-dependency). Linux/macOS share these constants.
-// ---------------------------------------------------------------------
-#[cfg(unix)]
-mod map {
-    use std::fs::File;
-    use std::os::raw::{c_int, c_void};
-    use std::os::unix::io::AsRawFd;
-
-    extern "C" {
-        fn mmap(
-            addr: *mut c_void,
-            len: usize,
-            prot: c_int,
-            flags: c_int,
-            fd: c_int,
-            offset: i64,
-        ) -> *mut c_void;
-        fn munmap(addr: *mut c_void, len: usize) -> c_int;
-    }
-
-    const PROT_READ: c_int = 1;
-    const MAP_PRIVATE: c_int = 2;
-
-    /// A read-only private mapping of a whole file.
-    pub struct Mmap {
-        ptr: *mut c_void,
-        len: usize,
-    }
-
-    // SAFETY: the mapping is read-only and owned; no interior mutability.
-    unsafe impl Send for Mmap {}
-    unsafe impl Sync for Mmap {}
-
-    impl Mmap {
-        pub fn map(file: &File) -> Option<Mmap> {
-            let len = file.metadata().ok()?.len();
-            if len == 0 || len > usize::MAX as u64 {
-                return None;
-            }
-            let len = len as usize;
-            // SAFETY: null hint, read-only private mapping over a file we
-            // hold open; failure is reported as MAP_FAILED (-1), checked.
-            let ptr = unsafe {
-                mmap(std::ptr::null_mut(), len, PROT_READ, MAP_PRIVATE, file.as_raw_fd(), 0)
-            };
-            if ptr.is_null() || ptr as isize == -1 {
-                return None;
-            }
-            Some(Mmap { ptr, len })
-        }
-
-        pub fn bytes(&self) -> &[u8] {
-            // SAFETY: ptr/len come from a successful mmap; the mapping
-            // lives until Drop.
-            unsafe { std::slice::from_raw_parts(self.ptr as *const u8, self.len) }
-        }
-    }
-
-    impl Drop for Mmap {
-        fn drop(&mut self) {
-            // SAFETY: exactly the region map() returned.
-            unsafe {
-                munmap(self.ptr, self.len);
-            }
-        }
-    }
-}
-
-enum Backing {
-    #[cfg(unix)]
-    Mapped(map::Mmap),
-    Owned(Vec<u8>),
-}
-
-impl Backing {
-    fn bytes(&self) -> &[u8] {
-        match self {
-            #[cfg(unix)]
-            Backing::Mapped(m) => m.bytes(),
-            Backing::Owned(v) => v,
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -342,259 +249,142 @@ pub fn store_to_bytes(t: &GlobalTrace) -> Vec<u8> {
 // Reader
 // ---------------------------------------------------------------------
 
-struct ChunkMeta {
-    /// Byte offset of the ids array.
-    ids_off: usize,
-    count: usize,
+/// Largest rank count a store header may claim. The reader allocates one
+/// sequence per rank before it reads any chunk, so the header's `nranks`
+/// is bounded first: 2²⁴ is 16× the largest world the simulator runs
+/// (`1m`), and a flipped high bit can no longer ask for billions of
+/// vectors.
+const MAX_STORE_RANKS: usize = 1 << 24;
+
+/// Load a merged trace from a columnar store file (`SIESTC1`). Any other
+/// file — including the retired row-codec format — is rejected with an
+/// error naming the expected format.
+pub fn load_trace(path: &Path) -> Result<GlobalTrace, Box<dyn std::error::Error>> {
+    Ok(decode_store(&std::fs::read(path)?)?)
 }
 
-/// An opened columnar trace store: validated once, then served zero-copy.
-pub struct TraceStore {
-    backing: Backing,
-    nranks: usize,
-    merge_rounds: u32,
-    raw_bytes: usize,
-    table_len: usize,
-    tags_off: usize,
-    refs_off: usize,
-    pool_off: usize,
-    pool_len: usize,
-    chunks: Vec<ChunkMeta>,
-    /// Chunk indices per rank, in append order.
-    by_rank: Vec<Vec<u32>>,
-}
-
-impl TraceStore {
-    /// Open a store file, mapping it into memory where the platform
-    /// allows (falling back to a heap read).
-    pub fn open(path: &Path) -> Result<TraceStore, Box<dyn std::error::Error>> {
-        #[cfg(unix)]
-        {
-            let file = std::fs::File::open(path)?;
-            if let Some(m) = map::Mmap::map(&file) {
-                return Ok(TraceStore::parse(Backing::Mapped(m))?);
-            }
-        }
-        let bytes = std::fs::read(path)?;
-        Ok(TraceStore::parse(Backing::Owned(bytes))?)
+/// Decode a whole store image in one validated pass: header, table
+/// columns, payload pool, every chunk (checksummed, then appended to its
+/// rank's sequence) and the footer. Any structural fault — bad magic or
+/// version, an overflowing or out-of-bounds length, a bad chunk marker,
+/// an out-of-range rank, a checksum or footer-count mismatch, a payload
+/// reference outside the pool, a kind byte that disagrees with its
+/// payload — is a [`StoreError`], never a panic.
+pub fn decode_store(b: &[u8]) -> Result<GlobalTrace, StoreError> {
+    if b.get(..8) != Some(&STORE_MAGIC[..]) {
+        return Err(StoreError::Wire(WireError::BadMagic));
+    }
+    if b.len() < HEADER_BYTES + FOOTER_BYTES {
+        return Err(StoreError::BadHeader("file shorter than header + footer"));
+    }
+    let mut r = Reader::new(&b[8..HEADER_BYTES]);
+    let version = r.u32().expect("sized above");
+    if version != STORE_VERSION {
+        return Err(StoreError::Wire(WireError::UnsupportedVersion(version as u8)));
+    }
+    let nranks = r.u32().expect("sized above") as usize;
+    let merge_rounds = r.u32().expect("sized above");
+    let raw_bytes = r.u64().expect("sized above") as usize;
+    let table_len = r.u32().expect("sized above") as usize;
+    if nranks > MAX_STORE_RANKS {
+        return Err(StoreError::BadHeader("rank count exceeds the store limit"));
     }
 
-    /// Open a store from an in-memory image.
-    pub fn from_bytes(bytes: Vec<u8>) -> Result<TraceStore, StoreError> {
-        TraceStore::parse(Backing::Owned(bytes))
+    let footer_off = b.len() - FOOTER_BYTES;
+    let tags_off = HEADER_BYTES;
+    let refs_off = pad8(tags_off + table_len);
+    let pool_len_off = table_len
+        .checked_mul(8)
+        .and_then(|n| n.checked_add(refs_off))
+        .ok_or(StoreError::BadHeader("table length overflows"))?;
+    if pool_len_off + 8 > footer_off {
+        return Err(StoreError::BadHeader("table columns overrun file"));
+    }
+    let pool_off = pool_len_off + 8;
+    let pool_len = u64::from_le_bytes(b[pool_len_off..pool_off].try_into().unwrap());
+    let pool_end = usize::try_from(pool_len)
+        .ok()
+        .and_then(|n| n.checked_add(pool_off))
+        .ok_or(StoreError::BadHeader("payload pool length overflows"))?;
+    // `pool_end` is bounded before it is padded: padding a near-`usize::MAX`
+    // end would overflow.
+    if pool_end > footer_off || pad8(pool_end) > footer_off {
+        return Err(StoreError::BadHeader("payload pool overruns file"));
     }
 
-    fn parse(backing: Backing) -> Result<TraceStore, StoreError> {
-        let b = backing.bytes();
-        if b.get(..8) != Some(&STORE_MAGIC[..]) {
-            return Err(StoreError::Wire(WireError::BadMagic));
-        }
-        if b.len() < HEADER_BYTES + FOOTER_BYTES {
-            return Err(StoreError::BadHeader("file shorter than header + footer"));
-        }
-        let mut r = Reader::new(&b[8..HEADER_BYTES]);
-        let version = r.u32().expect("sized above");
-        if version != STORE_VERSION {
-            return Err(StoreError::Wire(WireError::UnsupportedVersion(version as u8)));
-        }
-        let nranks = r.u32().expect("sized above") as usize;
-        let merge_rounds = r.u32().expect("sized above");
-        let raw_bytes = r.u64().expect("sized above") as usize;
-        let table_len = r.u32().expect("sized above") as usize;
-
-        let tags_off = HEADER_BYTES;
-        let refs_off = pad8(tags_off + table_len);
-        let pool_len_off = refs_off.checked_add(table_len * 8).ok_or(StoreError::BadHeader(
-            "table length overflows",
-        ))?;
-        if pool_len_off + 8 > b.len() - FOOTER_BYTES {
-            return Err(StoreError::BadHeader("table columns overrun file"));
-        }
-        let pool_off = pool_len_off + 8;
-        let pool_len =
-            u64::from_le_bytes(b[pool_len_off..pool_off].try_into().unwrap()) as usize;
-        let chunks_off = pad8(pool_off.checked_add(pool_len).ok_or(StoreError::BadHeader(
-            "payload pool length overflows",
-        ))?);
-        let footer_off = b.len() - FOOTER_BYTES;
-        if chunks_off > footer_off {
-            return Err(StoreError::BadHeader("payload pool overruns file"));
-        }
-
-        // Walk the chunk region, validating structure and checksums.
-        let mut chunks = Vec::new();
-        let mut by_rank: Vec<Vec<u32>> = vec![Vec::new(); nranks];
-        let mut pos = chunks_off;
-        let mut total_ids = 0u64;
-        while pos < footer_off {
-            let index = chunks.len();
-            if pos + CHUNK_HEADER_BYTES > footer_off {
-                return Err(StoreError::BadChunk { index, reason: "truncated header" });
-            }
-            let mut ch = Reader::new(&b[pos..pos + CHUNK_HEADER_BYTES]);
-            if ch.u32().expect("sized above") != CHUNK_MARKER {
-                return Err(StoreError::BadChunk { index, reason: "bad marker" });
-            }
-            let rank = ch.u32().expect("sized above") as usize;
-            let count = ch.u32().expect("sized above") as usize;
-            let sum = ch.u32().expect("sized above");
-            if rank >= nranks {
-                return Err(StoreError::BadChunk { index, reason: "rank out of range" });
-            }
-            let ids_off = pos + CHUNK_HEADER_BYTES;
-            let ids_bytes = count.checked_mul(4).ok_or(StoreError::BadChunk {
-                index,
-                reason: "count overflows",
-            })?;
-            if ids_off + ids_bytes > footer_off {
-                return Err(StoreError::BadChunk { index, reason: "ids overrun file" });
-            }
-            if fx_checksum(&b[ids_off..ids_off + ids_bytes]) != sum {
-                return Err(StoreError::ChecksumMismatch { index });
-            }
-            by_rank[rank].push(index as u32);
-            chunks.push(ChunkMeta { ids_off, count });
-            total_ids += count as u64;
-            pos = ids_off + ids_bytes;
-        }
-        let mut fr = Reader::new(&b[footer_off..]);
-        if fr.u32().expect("sized above") != FOOTER_MARKER {
-            return Err(StoreError::BadFooter("bad marker"));
-        }
-        if fr.u32().expect("sized above") as usize != chunks.len() {
-            return Err(StoreError::BadFooter("chunk count mismatch"));
-        }
-        if fr.u64().expect("sized above") != total_ids {
-            return Err(StoreError::BadFooter("id count mismatch"));
-        }
-
-        Ok(TraceStore {
-            backing,
-            nranks,
-            merge_rounds,
-            raw_bytes,
-            table_len,
-            tags_off,
-            refs_off,
-            pool_off,
-            pool_len,
-            chunks,
-            by_rank,
-        })
-    }
-
-    pub fn nranks(&self) -> usize {
-        self.nranks
-    }
-
-    pub fn merge_rounds(&self) -> u32 {
-        self.merge_rounds
-    }
-
-    pub fn raw_bytes(&self) -> usize {
-        self.raw_bytes
-    }
-
-    pub fn table_len(&self) -> usize {
-        self.table_len
-    }
-
-    /// The kind column: one byte per table entry (a comm event's wire tag,
-    /// or `0xFF` for compute events). Zero-copy.
-    pub fn kinds(&self) -> &[u8] {
-        &self.backing.bytes()[self.tags_off..self.tags_off + self.table_len]
-    }
-
-    /// Decode the terminal table. This is the only deserializing read —
-    /// tables are the compressed side of the trace.
-    pub fn table(&self) -> Result<Vec<EventRecord>, StoreError> {
-        let b = self.backing.bytes();
-        let kinds = self.kinds();
-        let mut table = Vec::with_capacity(self.table_len);
-        for (i, &kind) in kinds.iter().enumerate() {
-            let ref_off = self.refs_off + i * 8;
-            let packed = u64::from_le_bytes(b[ref_off..ref_off + 8].try_into().unwrap());
-            let (off, len) = ((packed >> 32) as usize, (packed & 0xffff_ffff) as usize);
-            if off + len > self.pool_len {
-                return Err(StoreError::BadHeader("payload reference overruns pool"));
-            }
-            let payload = &b[self.pool_off + off..self.pool_off + off + len];
-            if kind == KIND_COMPUTE {
-                let mut r = Reader::new(payload);
-                let repr = r.counters()?;
-                let sum = r.counters()?;
-                let count = r.u64()?;
-                table.push(EventRecord::Compute(ComputeStats { repr, sum, count }));
-            } else {
-                let mut r = Reader::new(payload);
-                let e = get_event(&mut r)?;
-                if payload.first() != Some(&kind) {
-                    return Err(StoreError::BadHeader("kind column disagrees with payload"));
-                }
-                table.push(EventRecord::Comm(e));
-            }
-        }
-        Ok(table)
-    }
-
-    pub fn seq_len(&self, rank: usize) -> usize {
-        self.by_rank[rank].iter().map(|&c| self.chunks[c as usize].count).sum()
-    }
-
-    /// Iterate a rank's id chunks in append order. On little-endian hosts
-    /// with an aligned backing each chunk is a borrowed `&[u32]` view of
-    /// the file — no copy, no decode; otherwise the chunk is decoded.
-    pub fn rank_chunks(&self, rank: usize) -> impl Iterator<Item = Cow<'_, [u32]>> {
-        self.by_rank[rank].iter().map(|&c| {
-            let m = &self.chunks[c as usize];
-            self.ids_at(m.ids_off, m.count)
-        })
-    }
-
-    /// Materialize one rank's full sequence.
-    pub fn seq(&self, rank: usize) -> Vec<u32> {
-        let mut out = Vec::with_capacity(self.seq_len(rank));
-        for c in self.rank_chunks(rank) {
-            out.extend_from_slice(&c);
-        }
-        out
-    }
-
-    /// True if id reads are served as borrowed casts (little-endian host,
-    /// 4-byte-aligned backing) rather than decode copies.
-    pub fn zero_copy(&self) -> bool {
-        cfg!(target_endian = "little")
-            && (self.backing.bytes().as_ptr() as usize).is_multiple_of(4)
-    }
-
-    fn ids_at(&self, off: usize, count: usize) -> Cow<'_, [u32]> {
-        let bytes = &self.backing.bytes()[off..off + count * 4];
-        if cfg!(target_endian = "little") && (bytes.as_ptr() as usize).is_multiple_of(4) {
-            // SAFETY: length and 4-byte alignment checked; every bit
-            // pattern is a valid u32; lifetime is tied to &self's backing.
-            Cow::Borrowed(unsafe {
-                std::slice::from_raw_parts(bytes.as_ptr() as *const u32, count)
-            })
+    let pool = &b[pool_off..pool_end];
+    let kinds = &b[tags_off..tags_off + table_len];
+    let refs = b[refs_off..pool_len_off].chunks_exact(8);
+    let mut table = Vec::with_capacity(table_len);
+    for (&kind, packed) in kinds.iter().zip(refs) {
+        let packed = u64::from_le_bytes(packed.try_into().unwrap());
+        let (off, len) = ((packed >> 32) as usize, (packed & 0xffff_ffff) as usize);
+        let payload = pool
+            .get(off..off + len)
+            .ok_or(StoreError::BadHeader("payload reference overruns pool"))?;
+        let mut r = Reader::new(payload);
+        if kind == KIND_COMPUTE {
+            let repr = r.counters()?;
+            let sum = r.counters()?;
+            let count = r.u64()?;
+            table.push(EventRecord::Compute(ComputeStats { repr, sum, count }));
         } else {
-            Cow::Owned(
-                bytes
-                    .chunks_exact(4)
-                    .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-                    .collect(),
-            )
+            let e = get_event(&mut r)?;
+            if payload.first() != Some(&kind) {
+                return Err(StoreError::BadHeader("kind column disagrees with payload"));
+            }
+            table.push(EventRecord::Comm(e));
         }
     }
 
-    /// Materialize the whole store as a [`GlobalTrace`].
-    pub fn to_global_trace(&self) -> Result<GlobalTrace, StoreError> {
-        Ok(GlobalTrace {
-            nranks: self.nranks,
-            table: self.table()?,
-            seqs: (0..self.nranks).map(|r| self.seq(r)).collect(),
-            raw_bytes: self.raw_bytes,
-            merge_rounds: self.merge_rounds,
-        })
+    let mut seqs: Vec<Vec<u32>> = vec![Vec::new(); nranks];
+    let mut pos = pad8(pool_end);
+    let mut nchunks = 0usize;
+    let mut total_ids = 0u64;
+    while pos < footer_off {
+        let index = nchunks;
+        if pos + CHUNK_HEADER_BYTES > footer_off {
+            return Err(StoreError::BadChunk { index, reason: "truncated header" });
+        }
+        let mut ch = Reader::new(&b[pos..pos + CHUNK_HEADER_BYTES]);
+        if ch.u32().expect("sized above") != CHUNK_MARKER {
+            return Err(StoreError::BadChunk { index, reason: "bad marker" });
+        }
+        let rank = ch.u32().expect("sized above") as usize;
+        let count = ch.u32().expect("sized above") as usize;
+        let sum = ch.u32().expect("sized above");
+        if rank >= nranks {
+            return Err(StoreError::BadChunk { index, reason: "rank out of range" });
+        }
+        let ids_off = pos + CHUNK_HEADER_BYTES;
+        let ids_end = count
+            .checked_mul(4)
+            .and_then(|n| n.checked_add(ids_off))
+            .ok_or(StoreError::BadChunk { index, reason: "count overflows" })?;
+        if ids_end > footer_off {
+            return Err(StoreError::BadChunk { index, reason: "ids overrun file" });
+        }
+        let ids = &b[ids_off..ids_end];
+        if fx_checksum(ids) != sum {
+            return Err(StoreError::ChecksumMismatch { index });
+        }
+        seqs[rank].extend(ids.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().unwrap())));
+        nchunks += 1;
+        total_ids += count as u64;
+        pos = ids_end;
     }
+    let mut fr = Reader::new(&b[footer_off..]);
+    if fr.u32().expect("sized above") != FOOTER_MARKER {
+        return Err(StoreError::BadFooter("bad marker"));
+    }
+    if fr.u32().expect("sized above") as usize != nchunks {
+        return Err(StoreError::BadFooter("chunk count mismatch"));
+    }
+    if fr.u64().expect("sized above") != total_ids {
+        return Err(StoreError::BadFooter("id count mismatch"));
+    }
+
+    Ok(GlobalTrace { nranks, table, seqs, raw_bytes, merge_rounds })
 }
 
 #[cfg(test)]
@@ -625,8 +415,7 @@ mod tests {
     #[test]
     fn round_trips_through_bytes() {
         let t = sample();
-        let store = TraceStore::from_bytes(store_to_bytes(&t)).expect("parse");
-        let u = store.to_global_trace().expect("decode");
+        let u = decode_store(&store_to_bytes(&t)).expect("decode");
         assert_eq!(t.nranks, u.nranks);
         assert_eq!(t.merge_rounds, u.merge_rounds);
         assert_eq!(t.raw_bytes, u.raw_bytes);
@@ -635,18 +424,16 @@ mod tests {
     }
 
     #[test]
-    fn round_trips_through_file_mmap() {
+    fn round_trips_through_file() {
         let t = sample();
         let dir = std::env::temp_dir().join(format!("siesta-store-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("sample.siestatrace");
         std::fs::write(&path, store_to_bytes(&t)).expect("write");
-        let store = TraceStore::open(&path).expect("open");
-        assert_eq!(store.seq(0), t.seqs[0]);
-        assert_eq!(store.seq(2), t.seqs[2]);
-        assert_eq!(store.to_global_trace().unwrap().seqs, t.seqs);
-        #[cfg(all(unix, target_endian = "little"))]
-        assert!(store.zero_copy(), "mmap of a page-aligned file must serve borrowed ids");
+        let u = load_trace(&path).expect("open");
+        assert_eq!(u.seqs[0], t.seqs[0]);
+        assert_eq!(u.seqs[2], t.seqs[2]);
+        assert_eq!(u.seqs, t.seqs);
         std::fs::remove_file(&path).ok();
     }
 
@@ -660,10 +447,9 @@ mod tests {
         w.append_chunk(0, &[2]).unwrap();
         w.append_chunk(1, &[]).unwrap();
         w.append_chunk(0, &[3, 0]).unwrap();
-        let store = TraceStore::from_bytes(w.finish().unwrap()).expect("parse");
-        assert_eq!(store.seq(0), vec![0, 1, 2, 3, 0]);
-        assert_eq!(store.seq(1), vec![3]);
-        assert_eq!(store.rank_chunks(0).count(), 3);
+        let u = decode_store(&w.finish().unwrap()).expect("decode");
+        assert_eq!(u.seqs[0], vec![0, 1, 2, 3, 0]);
+        assert_eq!(u.seqs[1], vec![3]);
     }
 
     #[test]
@@ -692,38 +478,115 @@ mod tests {
         let bytes = store_to_bytes(&sample());
         // Truncations at every section boundary and a few interior points.
         for cut in [0usize, 7, 16, 31, 40, bytes.len() - FOOTER_BYTES, bytes.len() - 1] {
-            assert!(TraceStore::from_bytes(bytes[..cut].to_vec()).is_err(), "cut {cut}");
+            assert!(decode_store(&bytes[..cut]).is_err(), "cut {cut}");
         }
         // Bad magic.
         let mut b = bytes.clone();
         b[0] ^= 0x40;
-        assert!(matches!(
-            TraceStore::from_bytes(b),
-            Err(StoreError::Wire(WireError::BadMagic))
-        ));
+        assert!(matches!(decode_store(&b), Err(StoreError::Wire(WireError::BadMagic))));
         // Flip one id bit: the chunk checksum must catch it.
         let mut b = bytes.clone();
         let ids_somewhere = b.len() - FOOTER_BYTES - 3;
         b[ids_somewhere] ^= 1;
-        assert!(matches!(
-            TraceStore::from_bytes(b),
-            Err(StoreError::ChecksumMismatch { .. })
-        ));
-        // Corrupt a chunk rank to out-of-range.
-        let store = TraceStore::from_bytes(bytes.clone()).unwrap();
-        let first_chunk_header = store.chunks[0].ids_off - CHUNK_HEADER_BYTES;
+        assert!(matches!(decode_store(&b), Err(StoreError::ChecksumMismatch { .. })));
+        // Corrupt a chunk rank to out-of-range. The chunk region starts
+        // where the footer of the same store without sequences would.
+        let no_seqs = GlobalTrace { seqs: vec![vec![]; 3], ..sample() };
+        let first_chunk_header = store_to_bytes(&no_seqs).len() - FOOTER_BYTES;
         let mut b = bytes.clone();
         b[first_chunk_header + 4..first_chunk_header + 8]
             .copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
-            TraceStore::from_bytes(b),
+            decode_store(&b),
             Err(StoreError::BadChunk { reason: "rank out of range", .. })
         ));
         // Corrupt the footer id count.
         let mut b = bytes;
         let n = b.len();
         b[n - 8..n].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(matches!(TraceStore::from_bytes(b), Err(StoreError::BadFooter(_))));
+        assert!(matches!(decode_store(&b), Err(StoreError::BadFooter(_))));
+    }
+
+    #[test]
+    fn rejects_oversized_rank_count() {
+        // Bit 7 of header byte 15 is the top bit of `nranks`: 2³¹ ranks
+        // would be ~51 GB of empty sequences if allocated before a check.
+        let mut b = store_to_bytes(&sample());
+        b[15] ^= 0x80;
+        assert_eq!(
+            decode_store(&b).map(|t| t.nranks),
+            Err(StoreError::BadHeader("rank count exceeds the store limit"))
+        );
+    }
+
+    /// Deterministic LCG, as in the grammar crate's reference cross-check.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn next(&mut self, m: u64) -> u64 {
+            self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (self.0 >> 33) % m.max(1)
+        }
+    }
+
+    /// A random trace: 1–5 ranks with uneven (possibly empty) sequences
+    /// over a table drawn, with duplicates, from [`sample`]'s records.
+    fn random_trace(rng: &mut Lcg) -> GlobalTrace {
+        let records = sample().table;
+        let table: Vec<EventRecord> = (0..1 + rng.next(10))
+            .map(|_| records[rng.next(records.len() as u64) as usize].clone())
+            .collect();
+        let nranks = 1 + rng.next(5) as usize;
+        let n = table.len() as u64;
+        let seqs = (0..nranks)
+            .map(|_| (0..rng.next(200)).map(|_| rng.next(n) as u32).collect())
+            .collect();
+        GlobalTrace { nranks, table, seqs, raw_bytes: rng.next(1 << 30) as usize, merge_rounds: 2 }
+    }
+
+    #[test]
+    fn chunking_is_reader_invariant() {
+        let mut rng = Lcg(0x5349_4553_5443_3101);
+        for case in 0..200 {
+            let t = random_trace(&mut rng);
+            let cut = 1 + rng.next(64) as usize;
+            let mut w =
+                StoreWriter::new(Vec::new(), t.nranks, t.merge_rounds, t.raw_bytes, &t.table)
+                    .unwrap();
+            for (rank, seq) in t.seqs.iter().enumerate() {
+                for piece in seq.chunks(cut) {
+                    w.append_chunk(rank as u32, piece).unwrap();
+                }
+            }
+            let u = decode_store(&w.finish().unwrap()).expect("decode");
+            assert_eq!(u.seqs, t.seqs, "case {case}, chunks of {cut}");
+            assert_eq!(u.table, t.table, "case {case}");
+        }
+    }
+
+    #[test]
+    fn every_strict_prefix_is_rejected() {
+        let mut rng = Lcg(0x5349_4553_5443_3102);
+        for case in 0..20 {
+            let bytes = store_to_bytes(&random_trace(&mut rng));
+            for cut in 0..bytes.len() {
+                assert!(decode_store(&bytes[..cut]).is_err(), "case {case}, cut {cut}");
+            }
+        }
+    }
+
+    #[test]
+    fn single_bit_flips_never_panic() {
+        // Every flip either decodes (dead padding, `raw_bytes`, a payload
+        // byte that still parses) or returns an error; a panic fails here.
+        let bytes = store_to_bytes(&sample());
+        for pos in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut b = bytes.clone();
+                b[pos] ^= 1 << bit;
+                let _ = decode_store(&b);
+            }
+        }
     }
 
     #[test]
@@ -735,8 +598,8 @@ mod tests {
             raw_bytes: 0,
             merge_rounds: 0,
         };
-        let store = TraceStore::from_bytes(store_to_bytes(&t)).expect("parse");
-        assert_eq!(store.table().unwrap(), vec![]);
-        assert_eq!(store.seq(0), Vec::<u32>::new());
+        let u = decode_store(&store_to_bytes(&t)).expect("decode");
+        assert_eq!(u.table, vec![]);
+        assert_eq!(u.seqs[0], Vec::<u32>::new());
     }
 }

@@ -1,18 +1,18 @@
 //! Little-endian byte primitives and the communication-event codec that
 //! Siesta's binary formats (the columnar trace store, the proxy artifact)
-//! build on, plus [`load_trace`].
+//! build on.
 //!
 //! The paper's workflow separates *collection* (PMPI tracing on the
 //! production system) from *processing* (merging, grammar extraction,
 //! synthesis — possibly offline). Persisting the merged trace as a
-//! columnar store ([`crate::store`]) makes that split real:
+//! columnar store ([`crate::store`], read back with
+//! [`crate::store::load_trace`]) makes that split real:
 //! `siesta trace --out app.siestatrace` on one machine,
 //! `siesta synthesize --from-trace app.siestatrace` anywhere.
 
 use siesta_perfmodel::CounterVec;
 
 use crate::event::CommEvent;
-use crate::merge::GlobalTrace;
 
 /// Decoding failure (shared by every Siesta wire format).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -22,6 +22,8 @@ pub enum WireError {
     Truncated,
     BadTag(u8),
     BadString,
+    /// A rank range that is reversed or reaches past the rank count.
+    BadRankRange,
 }
 
 impl std::fmt::Display for WireError {
@@ -32,6 +34,7 @@ impl std::fmt::Display for WireError {
             WireError::Truncated => write!(f, "file truncated"),
             WireError::BadTag(t) => write!(f, "corrupt file (unknown tag {t})"),
             WireError::BadString => write!(f, "corrupt file (invalid UTF-8)"),
+            WireError::BadRankRange => write!(f, "corrupt file (rank range out of bounds)"),
         }
     }
 }
@@ -98,6 +101,12 @@ pub struct Reader<'a> {
 impl<'a> Reader<'a> {
     pub fn new(buf: &'a [u8]) -> Reader<'a> {
         Reader { buf, pos: 0 }
+    }
+    /// Bytes not yet read: an upper bound on the element count of any
+    /// list still to come, so decoders can pre-size from a length field
+    /// without trusting it.
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
     }
     pub fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         if self.pos + n > self.buf.len() {
@@ -362,17 +371,12 @@ pub fn get_event(r: &mut Reader) -> Result<CommEvent, WireError> {
     })
 }
 
-/// Load a merged trace from a columnar store file (`SIESTC1`). Any other
-/// file — including the retired row-codec format — is rejected with an
-/// error naming the expected format.
-pub fn load_trace(path: &std::path::Path) -> Result<GlobalTrace, Box<dyn std::error::Error>> {
-    Ok(crate::store::TraceStore::open(path)?.to_global_trace()?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::{ComputeStats, EventRecord};
+    use crate::merge::GlobalTrace;
+    use crate::store::load_trace;
 
     fn sample() -> GlobalTrace {
         GlobalTrace {

@@ -12,8 +12,8 @@ use proptest::prelude::*;
 
 use siesta_perfmodel::CounterVec;
 use siesta_trace::{
-    abs_rank, counters_close, rel_rank, store_to_bytes, CommEvent, ComputeStats, EventRecord,
-    FreePool, GlobalTrace, HandleMap, StoreWriter, TraceStore,
+    abs_rank, counters_close, decode_store, rel_rank, store_to_bytes, CommEvent, ComputeStats,
+    EventRecord, FreePool, GlobalTrace, HandleMap, StoreWriter,
 };
 
 proptest! {
@@ -196,8 +196,7 @@ proptest! {
     /// exact compute-cluster f64 state), and every rank's id sequence.
     #[test]
     fn store_round_trips(t in arb_trace()) {
-        let store = TraceStore::from_bytes(store_to_bytes(&t)).expect("parse");
-        let back = store.to_global_trace().expect("decode");
+        let back = decode_store(&store_to_bytes(&t)).expect("decode");
         prop_assert_eq!(back.nranks, t.nranks);
         prop_assert_eq!(back.merge_rounds, t.merge_rounds);
         prop_assert_eq!(back.raw_bytes, t.raw_bytes);
@@ -218,10 +217,10 @@ proptest! {
                 w.append_chunk(rank as u32, piece).unwrap();
             }
         }
-        let store = TraceStore::from_bytes(w.finish().unwrap()).expect("parse");
-        prop_assert_eq!(store.nranks(), t.nranks);
+        let back = decode_store(&w.finish().unwrap()).expect("decode");
+        prop_assert_eq!(back.nranks, t.nranks);
         for (rank, seq) in t.seqs.iter().enumerate() {
-            prop_assert_eq!(&store.seq(rank), seq);
+            prop_assert_eq!(&back.seqs[rank], seq);
         }
     }
 
@@ -232,14 +231,13 @@ proptest! {
     fn store_rejects_any_truncation(t in arb_trace(), frac in 0.0f64..1.0) {
         let bytes = store_to_bytes(&t);
         let cut = ((bytes.len() - 1) as f64 * frac) as usize;
-        prop_assert!(TraceStore::from_bytes(bytes[..cut].to_vec()).is_err());
+        prop_assert!(decode_store(&bytes[..cut]).is_err());
     }
 
     /// A single-bit flip anywhere in the file must never cause a panic or
-    /// an out-of-bounds access: either the structural walk rejects the
-    /// bytes, or every decode entry point still touches only validated
-    /// ranges (flips in dead padding or the free-form `raw_bytes` field
-    /// legitimately parse).
+    /// an out-of-bounds access: the decoder either rejects the bytes or
+    /// returns a trace (flips in dead padding or the free-form
+    /// `raw_bytes` field legitimately parse).
     #[test]
     fn store_never_panics_on_corruption(
         t in arb_trace(),
@@ -249,13 +247,6 @@ proptest! {
         let mut bytes = store_to_bytes(&t);
         let pos = pos_raw % bytes.len();
         bytes[pos] ^= 1u8 << bit;
-        if let Ok(store) = TraceStore::from_bytes(bytes) {
-            let _ = store.table();
-            for rank in 0..store.nranks() {
-                let _ = store.seq_len(rank);
-                let _ = store.seq(rank);
-            }
-            let _ = store.to_global_trace();
-        }
+        let _ = decode_store(&bytes);
     }
 }

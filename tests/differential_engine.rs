@@ -155,7 +155,7 @@ fn memo_and_buffer_toggles_agree_across_modes() {
 fn streamed_store_feeds_offline_synthesis() {
     let _g = WIDTH_LOCK.lock().unwrap();
     // The offline workflow: a store written rank-at-a-time by the live
-    // path, loaded back through the zero-copy reader, must synthesize to
+    // path, decoded back in one validated pass, must synthesize to
     // the same proxy as the live run.
     for program in [Program::Sweep3d, Program::Is] {
         let live = synthesize(false, 2, program, SiestaConfig::default());
